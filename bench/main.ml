@@ -1005,8 +1005,9 @@ let fleet_bench ~jobs () =
     | (_, _, _, rj, wj) :: _ -> (rj, wj)
     | [] -> assert false
   in
-  let pool = P.make_pool ~jobs:j_hi env in
   let ga_single =
+    Repro_search.Domainpool.with_pool ~workers:j_hi @@ fun workers ->
+    let pool = P.make_pool ~pool:workers env in
     Ga.run (Rng.create seed) cfg.Fleet.ga
       ~evaluate_batch:(Evalpool.evaluate_batch pool)
       ~baseline_ms:env.P.android_region_ms ~o3_ms:env.P.o3_region_ms ()

@@ -36,7 +36,7 @@ let store storage t =
 let discard storage t = Storage.delete storage ~label:(program_label t)
 
 (* The device store, when one is attached (bin/repro --store, fig11).  Set
-   on the main domain before any workers spawn; workers only read it. *)
+   on the main domain before a search starts; workers only read it. *)
 let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
 let current_store () = Atomic.get store_ref
@@ -47,8 +47,8 @@ let current_store () = Atomic.get store_ref
    recreated and every captured page installed once, after which each
    replay takes an O(page-table) [Mem.clone] instead of re-copying every
    page.  The cache is domain-local so template frames (plain-int
-   refcounts) are never shared across domains — each Evalpool worker
-   builds its own template, amortized over the replays it runs.
+   refcounts) are never shared across domains — each Domainpool worker
+   builds its own template, amortized over every batch the pool runs.
 
    The cache holds a small MRU list rather than a single entry: corpus
    verification cycles through K snapshots per candidate, and a

@@ -51,8 +51,9 @@ val set_store : Repro_os.Storage.t option -> unit
 (** Attach (or detach, with [None]) the process-wide device store.  While
     one is attached and holds a snapshot's blobs, {!template} materializes
     from the store — checksum-validating every page — instead of from the
-    in-memory page lists.  Set it on the main domain before worker domains
-    spawn. *)
+    in-memory page lists.  Set it on the main domain before a search
+    starts: templates already cached on a pool's domains keep whatever
+    they were built from. *)
 
 val current_store : unit -> Repro_os.Storage.t option
 

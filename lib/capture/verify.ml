@@ -9,81 +9,54 @@ type t = {
   ret : Value.t option;
 }
 
-(* address -> captured original page image (program pages shadow common).
-   Building the table walks the whole snapshot, so it is cached per domain
-   keyed by snapshot identity (snapshots are immutable, and the table only
-   holds references to their page images): repeat verifications against the
-   same snapshot — the GA loop — pay O(dirty pages), not O(snapshot).
-   A small MRU list rather than one entry, for the same reason as
-   [Snapshot.template_slot]: corpus verification cycles through K
-   snapshots per candidate, and a single slot would rebuild the table K
-   times per evaluation. *)
-let max_cached_originals = 12
-
-let original_slot : (Snapshot.t * (int, int64 array) Hashtbl.t) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
-
+(* address -> captured original page image (program pages shadow common) *)
 let original_of_snapshot (snap : Snapshot.t) =
-  let entries = Domain.DLS.get original_slot in
-  match List.find_opt (fun (s, _) -> s == snap) entries with
-  | Some (_, original) ->
-    (match entries with
-     | (s0, _) :: _ when s0 == snap -> ()
-     | _ ->
-       Domain.DLS.set original_slot
-         ((snap, original) :: List.filter (fun (s, _) -> s != snap) entries));
-    original
-  | None ->
-    let original = Hashtbl.create 64 in
-    List.iter
-      (fun { Snapshot.pg_index; pg_data } ->
-         Hashtbl.replace original pg_index pg_data)
-      snap.Snapshot.snap_common;
-    List.iter
-      (fun { Snapshot.pg_index; pg_data } ->
-         Hashtbl.replace original pg_index pg_data)
-      snap.Snapshot.snap_pages;
-    let entries = (snap, original) :: entries in
-    let entries = List.filteri (fun i _ -> i < max_cached_originals) entries in
-    Domain.DLS.set original_slot entries;
-    original
+  let original = Hashtbl.create 64 in
+  List.iter
+    (fun { Snapshot.pg_index; pg_data } ->
+       Hashtbl.replace original pg_index pg_data)
+    (snap.Snapshot.snap_common @ snap.Snapshot.snap_pages);
+  fun page -> Hashtbl.find_opt original page
 
-(* Pages a replay could have changed.  When [mem] is a clone of this very
-   snapshot's template (the normal replay path), only the pages the clone
-   actually privatized can differ — everything still sharing a template
-   frame is equal by construction — so the scan is O(dirty pages).  Any
-   other provenance falls back to scanning every materialized page. *)
-let pages_to_scan mem (snap : Snapshot.t) =
-  let fast =
+let all_touched_pages mem =
+  List.sort Int.compare
+    (Mem.touched_pages mem ~kind:Mem.Rheap
+     @ Mem.touched_pages mem ~kind:Mem.Rstatics)
+
+(* Pages a replay could have changed, with a lookup of their original
+   words.  When [mem] is a clone of this very snapshot's template (the
+   normal replay path), only the pages the clone actually privatized can
+   differ — everything still sharing a template frame is equal by
+   construction — so the scan is O(dirty pages), and the template itself
+   holds exactly the captured originals.  Any other provenance falls back
+   to scanning every materialized page against the snapshot's page
+   lists. *)
+let scan_plan mem (snap : Snapshot.t) =
+  let pages, original =
     match Mem.cloned_from mem, Snapshot.cached_template snap with
-    | Some src, Some tpl when src == tpl -> true
-    | _ -> false
-  in
-  let pages =
-    if fast then
-      List.merge Int.compare
-        (Mem.dirty_pages mem ~kind:Mem.Rheap)
-        (Mem.dirty_pages mem ~kind:Mem.Rstatics)
-    else
-      List.sort Int.compare
-        (Mem.touched_pages mem ~kind:Mem.Rheap
-         @ Mem.touched_pages mem ~kind:Mem.Rstatics)
+    | Some src, Some tpl when src == tpl ->
+      ( List.merge Int.compare
+          (Mem.dirty_pages mem ~kind:Mem.Rheap)
+          (Mem.dirty_pages mem ~kind:Mem.Rstatics),
+        fun page -> Mem.page_words tpl ~page )
+    | _ ->
+      Trace.incr "verify.full_scans";
+      (all_touched_pages mem, original_of_snapshot snap)
   in
   Trace.add "verify.pages_scanned" (List.length pages);
-  if not fast then Trace.incr "verify.full_scans";
-  pages
+  (pages, original)
 
 (* Scan [pages] (ascending) against the captured originals; diffs come out
    already sorted by address because pages and in-page words are visited in
    ascending order and addresses are unique. *)
-let diff_pages mem original pages =
+let diff_pages mem (pages, original) =
   let diffs = ref [] in
   List.iter
     (fun page ->
        match Mem.page_words mem ~page with
        | None -> ()
        | Some now ->
-         let orig = Hashtbl.find_opt original page in
+         let orig = original page in
          let base = page * Mem.page_size in
          for w = 0 to Mem.words_per_page - 1 do
            let v = now.(w) in
@@ -95,24 +68,18 @@ let diff_pages mem original pages =
 
 let diff_against_snapshot (ctx : Ctx.t) (snap : Snapshot.t) =
   let mem = ctx.Ctx.mem in
-  diff_pages mem (original_of_snapshot snap) (pages_to_scan mem snap)
+  diff_pages mem (scan_plan mem snap)
 
 let diff_against_snapshot_full (ctx : Ctx.t) (snap : Snapshot.t) =
   let mem = ctx.Ctx.mem in
-  let pages =
-    List.sort Int.compare
-      (Mem.touched_pages mem ~kind:Mem.Rheap
-       @ Mem.touched_pages mem ~kind:Mem.Rstatics)
-  in
-  diff_pages mem (original_of_snapshot snap) pages
+  diff_pages mem (all_touched_pages mem, original_of_snapshot snap)
 
 (* Early-exit comparison for the hot path: walk the replay's diffs in
    address order in lockstep with the (sorted) reference write map and bail
    on the first divergence, without materializing the diff list. *)
 let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
   let mem = ctx.Ctx.mem in
-  let original = original_of_snapshot snap in
-  let pages = pages_to_scan mem snap in
+  let pages, original = scan_plan mem snap in
   let exception Mismatch in
   let rest = ref reference_writes in
   try
@@ -121,7 +88,7 @@ let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
          match Mem.page_words mem ~page with
          | None -> ()
          | Some now ->
-           let orig = Hashtbl.find_opt original page in
+           let orig = original page in
            let base = page * Mem.page_size in
            for w = 0 to Mem.words_per_page - 1 do
              let v = now.(w) in

@@ -3,6 +3,7 @@ module B = Repro_dex.Bytecode
 module Ga = Repro_search.Ga
 module Genome = Repro_search.Genome
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Compile = Repro_lir.Compile
 module Binary = Repro_lir.Binary
 module Verify = Repro_capture.Verify
@@ -79,8 +80,8 @@ let fig1_of_core = function
 
 (* A pool whose outcome is the Figure 1 classification (plus the raw replay
    cycle count, which Figure 2 turns into a noise-free speedup). *)
-let classify_pool ?jobs ?cache env =
-  Evalpool.create ?jobs ?cache ~canon:Genome.to_string
+let classify_pool ?cache ~pool env =
+  Evalpool.create ?cache ~pool ~canon:Genome.to_string
     ~compile:(Pipeline.compile_core env) ~key_of:Pipeline.binary_key
     ~verify:(Pipeline.verify_core env)
     ~finish:(fun ~ev_index:_ core -> fig1_of_core core)
@@ -94,9 +95,10 @@ let draw_genomes rng n =
   in
   go 0 []
 
-let fig1 ?(sequences = 100) ?(seed = 7) ?jobs ?cache () =
+let fig1 ?(sequences = 100) ?(seed = 7) ?(jobs = 1) ?cache () =
   let env = fft_env ~seed () in
-  let pool = classify_pool ?jobs ?cache env in
+  Domainpool.with_pool ~workers:jobs @@ fun workers ->
+  let pool = classify_pool ?cache ~pool:workers env in
   let rng = Rng.create (seed * 31 + 5) in
   let tasks =
     Array.of_list
@@ -137,9 +139,10 @@ type fig2 = {
   f2_android_ms : float;
 }
 
-let fig2 ?(binaries = 50) ?(seed = 11) ?jobs ?cache () =
+let fig2 ?(binaries = 50) ?(seed = 11) ?(jobs = 1) ?cache () =
   let env = fft_env ~seed () in
-  let pool = classify_pool ?jobs ?cache env in
+  Domainpool.with_pool ~workers:jobs @@ fun workers ->
+  let pool = classify_pool ?cache ~pool:workers env in
   let rng = Rng.create (seed * 77 + 3) in
   let cost = Cost.default in
   let speedups = ref [] in
@@ -427,10 +430,11 @@ type fig7_row = {
   f7_ga : float;
 }
 
-let fig7 ?cfg ?(seed = 7) ?apps ?jobs ?cache () =
+let fig7 ?cfg ?(seed = 7) ?apps ?(jobs = 1) ?cache () =
+  Domainpool.with_pool ~workers:jobs @@ fun pool ->
   List.filter_map
     (fun app ->
-       match Study.run ~seed ?cfg ?jobs ?cache app with
+       match Study.run ~seed ?cfg ~pool ?cache app with
        | None -> None
        | Some s ->
          Some
@@ -507,10 +511,11 @@ type fig9_point = {
 
 type fig9_row = { f9_app : string; f9_points : fig9_point list }
 
-let fig9 ?cfg ?(seed = 7) ?apps ?jobs ?cache () =
+let fig9 ?cfg ?(seed = 7) ?apps ?(jobs = 1) ?cache () =
+  Domainpool.with_pool ~workers:jobs @@ fun pool ->
   List.filter_map
     (fun app ->
-       match Study.run ~seed ?cfg ?jobs ?cache app with
+       match Study.run ~seed ?cfg ~pool ?cache app with
        | None -> None
        | Some s ->
          let android_ms = s.Study.opt.Pipeline.env.Pipeline.android_region_ms in

@@ -17,6 +17,7 @@ module Regions = Repro_profiler.Regions
 module Genome = Repro_search.Genome
 module Ga = Repro_search.Ga
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 module Storage = Repro_os.Storage
@@ -482,8 +483,8 @@ let outcome_of_core env ~ev_index core =
   | Core_wrong_output -> Ga.Wrong_output
   | Core_quarantined msg -> Ga.Quarantined msg
 
-let make_pool ?jobs ?cache ?memo_budget ?pool env =
-  Evalpool.create ?jobs ?cache ?memo_budget ?pool ~canon:Genome.canon
+let make_pool ?cache ?memo_budget ~pool env =
+  Evalpool.create ?cache ?memo_budget ~pool ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
     ~finish:(fun ~ev_index core -> outcome_of_core env ~ev_index core)
     ()
@@ -492,8 +493,8 @@ let make_pool ?jobs ?cache ?memo_budget ?pool env =
    noised GA outcome: the fleet coordinator synthesizes per-device times
    itself (each device re-seeds noise from its own profile), so it needs
    the core before noise is applied. *)
-let make_core_pool ?jobs ?cache ?memo_budget ?pool env =
-  Evalpool.create ?jobs ?cache ?memo_budget ?pool ~canon:Genome.canon
+let make_core_pool ?cache ?memo_budget ~pool env =
+  Evalpool.create ?cache ?memo_budget ~pool ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
     ~finish:(fun ~ev_index:_ core -> core)
     ()
@@ -615,6 +616,7 @@ type search_session = {
   ss_file : string option;
   ss_fingerprint : string;
   ss_abort_after : int option;
+  ss_owned_pool : Domainpool.t option;  (* created here, shut down at the end *)
   ss_mk_pool : unit -> (Binary.t, eval_core, eval_core) Evalpool.t;
   ss_pool : (Binary.t, eval_core, eval_core) Evalpool.t ref;
   ss_mk_search : unit -> Rng.t * optimized Ga.step;
@@ -655,18 +657,57 @@ let seed_pool_from_journal pool batches =
     batches;
   Evalpool.seed_caches pool ~genomes:!genomes ~keys:!keys
 
-let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
+let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?(jobs = 1) ?cache
     ?memo_budget ?pool ?(corpus = []) ?(seed_genomes = []) ?quarantine
     ?checkpoint ?abort_after app capture =
   let qlog =
     match quarantine with Some q -> q | None -> global_quarantine
   in
   let env = make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog app capture in
-  let mk_pool () = make_core_pool ?jobs ?cache ?memo_budget ?pool env in
-  let the_pool = ref (mk_pool ()) in
   let fingerprint =
     run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays:10
   in
+  let journal, warnings =
+    match checkpoint with
+    | None -> ([], [])
+    | Some file ->
+      let cold why =
+        record_quarantine ~log:qlog ~key:("checkpoint:" ^ file) ~reason:why ();
+        ( [],
+          [ Printf.sprintf "checkpoint %s: %s (starting cold)" file why ] )
+      in
+      (match Checkpoint.load file with
+       | `Absent -> ([], [])
+       | `Damaged why -> cold why
+       | `Loaded (t, store_warnings) ->
+         if t.Checkpoint.fingerprint <> fingerprint then
+           cold "run configuration mismatch"
+         else begin
+           restore_quarantine qlog t.Checkpoint.quarantine;
+           Trace.add "ckpt.batches_resumed"
+             (List.length t.Checkpoint.batches);
+           ( t.Checkpoint.batches,
+             List.map
+               (fun w -> Printf.sprintf "checkpoint %s: %s" file w)
+               store_warnings )
+         end)
+  in
+  (* A caller-supplied pool is borrowed; otherwise the session owns one
+     for its whole life, cold restarts included. *)
+  let dpool, owned =
+    match pool with
+    | Some p -> (p, None)
+    | None ->
+      let p = Domainpool.create ~workers:jobs in
+      (p, Some p)
+  in
+  let mk_pool () = make_core_pool ?cache ?memo_budget ~pool:dpool env in
+  let the_pool =
+    match mk_pool () with
+    | p -> ref p
+    | exception e -> Option.iter Domainpool.shutdown owned; raise e
+  in
+  seed_pool_from_journal !the_pool journal;
   let mk_search () =
     let rng = Rng.create seed in
     let body ~evaluate_batch =
@@ -696,35 +737,10 @@ let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
     in
     (rng, Ga.coop body)
   in
-  let journal, warnings =
-    match checkpoint with
-    | None -> ([], [])
-    | Some file ->
-      let cold why =
-        record_quarantine ~log:qlog ~key:("checkpoint:" ^ file) ~reason:why ();
-        ( [],
-          [ Printf.sprintf "checkpoint %s: %s (starting cold)" file why ] )
-      in
-      (match Checkpoint.load file with
-       | `Absent -> ([], [])
-       | `Damaged why -> cold why
-       | `Loaded (t, store_warnings) ->
-         if t.Checkpoint.fingerprint <> fingerprint then
-           cold "run configuration mismatch"
-         else begin
-           restore_quarantine qlog t.Checkpoint.quarantine;
-           seed_pool_from_journal !the_pool t.Checkpoint.batches;
-           Trace.add "ckpt.batches_resumed"
-             (List.length t.Checkpoint.batches);
-           ( t.Checkpoint.batches,
-             List.map
-               (fun w -> Printf.sprintf "checkpoint %s: %s" file w)
-               store_warnings )
-         end)
-  in
   let rng, step = mk_search () in
   { ss_env = env; ss_file = checkpoint; ss_fingerprint = fingerprint;
-    ss_abort_after = abort_after; ss_mk_pool = mk_pool; ss_pool = the_pool;
+    ss_abort_after = abort_after; ss_owned_pool = owned;
+    ss_mk_pool = mk_pool; ss_pool = the_pool;
     ss_mk_search = mk_search; ss_rng = rng; ss_step = step;
     ss_journal = journal; ss_recorded_rev = []; ss_live = 0;
     ss_replayed = 0; ss_warnings = List.rev warnings; ss_result = None }
@@ -776,7 +792,7 @@ let batch_matches b ~cursor tasks =
        b.Checkpoint.b_tasks
        (Array.to_list tasks)
 
-let rec search_step s : step_outcome =
+let rec step_once s : step_outcome =
   match s.ss_step with
   | Ga.Step_done r ->
     s.ss_result <- Some r;
@@ -801,7 +817,7 @@ let rec search_step s : step_outcome =
        `Replayed
      | _ :: _ ->
        cold_restart s "journal diverged from the configured search";
-       search_step s
+       step_once s
      | [] ->
        let cores = Evalpool.evaluate_batch !(s.ss_pool) tasks in
        idle_drain ();
@@ -831,6 +847,14 @@ let rec search_step s : step_outcome =
        in
        s.ss_step <- resume outcomes;
        `Live)
+
+(* A session-owned domain pool lives until the search finishes or dies. *)
+let search_step s =
+  let release () = Option.iter Domainpool.shutdown s.ss_owned_pool in
+  match step_once s with
+  | `Finished _ as r -> release (); r
+  | (`Live | `Replayed) as r -> r
+  | exception e -> release (); raise e
 
 let optimize ?seed ?cfg ?jobs ?cache ?memo_budget ?pool ?(corpus = [])
     ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture =

@@ -214,19 +214,18 @@ val outcome_of_core :
     frequency-pinned device: §4), seeded from [(measure_seed, ev_index)]. *)
 
 val make_pool :
-  ?jobs:int -> ?cache:bool -> ?memo_budget:int ->
-  ?pool:Repro_search.Domainpool.t -> evaluation_env ->
+  ?cache:bool -> ?memo_budget:int ->
+  pool:Repro_search.Domainpool.t -> evaluation_env ->
   (Repro_lir.Binary.t, eval_core, Repro_search.Ga.outcome) Repro_search.Evalpool.t
 (** A parallel memoizing evaluator over [compile_core]/[verify_core] for
     this environment; feed {!Repro_search.Evalpool.evaluate_batch} to
     {!Repro_search.Ga.run}.  [memo_budget] bounds the genome/binary memos
     ({!Repro_search.Evalpool.default_memo_budget} entries by default);
-    [pool] runs batches on a shared persistent domain pool instead of
-    spawning [jobs] domains per batch (the serve scheduler's mode). *)
+    batches run on [pool], which the caller owns. *)
 
 val make_core_pool :
-  ?jobs:int -> ?cache:bool -> ?memo_budget:int ->
-  ?pool:Repro_search.Domainpool.t -> evaluation_env ->
+  ?cache:bool -> ?memo_budget:int ->
+  pool:Repro_search.Domainpool.t -> evaluation_env ->
   (Repro_lir.Binary.t, eval_core, eval_core) Repro_search.Evalpool.t
 (** Like {!make_pool}, but the finished value is the raw {!eval_core}
     (no noise applied): the fleet coordinator synthesizes measurement
@@ -270,7 +269,9 @@ val optimize :
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> optimized
 (** The full search, including the final hill-climbing step.  [jobs]
-    (default 1) evaluates each generation on that many domains; [cache]
+    (default 1) evaluates each generation on that many domains, in a
+    {!Repro_search.Domainpool} the search creates and shuts down; [pool]
+    borrows a caller-owned pool instead (and overrides [jobs]).  [cache]
     (default true) memoizes repeated genomes and binaries (bounded by
     [memo_budget]).  [corpus] makes every candidate verify against the
     secondary inputs too (the corpus verdict folds into the same
@@ -318,7 +319,11 @@ val start_search :
     fingerprint covers app, seed, GA config, corpus and warm-start seeds
     — but deliberately {e not} [jobs]/[cache]/[memo_budget], which are
     result-invariant: a checkpoint taken at [-j4] resumes at
-    [-j1 --no-cache] and vice versa. *)
+    [-j1 --no-cache] and vice versa.
+
+    Without [pool] the session creates a [jobs]-worker domain pool, keeps
+    it across cold restarts, and shuts it down when {!search_step}
+    returns [`Finished] or raises. *)
 
 val search_step : search_session -> step_outcome
 (** Advance by one batch.  [`Replayed]: the journal's next batch matched
@@ -327,7 +332,7 @@ val search_step : search_session -> step_outcome
     batch was evaluated on the pool and the checkpoint file (if any)
     atomically rewritten; raises {!Checkpoint.Injected_abort} right after
     the write once [abort_after] live batches have run.  A journal batch
-    that {e doesn't} match falls back to a full cold restart (fresh pool,
+    that {e doesn't} match falls back to a full cold restart (fresh memos,
     fresh RNG, empty journal) with a warning and a quarantine entry —
     recorded state that diverges from the configured search cannot be
     trusted at all.  [`Finished] yields the result (also via

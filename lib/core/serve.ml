@@ -31,8 +31,7 @@ type job = {
 }
 
 type t = {
-  pool : Domainpool.t option;
-  jobs : int;
+  pool : Domainpool.t;
   cache : bool;
   memo_budget : int option;
   max_active : int;
@@ -51,9 +50,8 @@ type t = {
 let create ?(jobs = 1) ?(cache = true) ?memo_budget ?(queue_capacity = 16)
     ?abort_after ~max_active () =
   if max_active < 1 then invalid_arg "Serve.create: max_active < 1";
-  { pool = (if jobs > 1 then Some (Domainpool.create ~workers:jobs) else None);
-    jobs; cache; memo_budget; max_active; queue_capacity; abort_after;
-    queue = Queue.create (); active = []; all_rev = []; rounds = 0;
+  { pool = Domainpool.create ~workers:jobs; cache; memo_budget; max_active;
+    queue_capacity; abort_after; queue = Queue.create (); active = []; all_rev = []; rounds = 0;
     concurrent_rounds = 0; peak_active = 0; live_batches = 0; rejected = 0 }
 
 (* Admission: the capture and search construction run here, on the
@@ -68,8 +66,8 @@ let start_job t job =
    | Some co ->
      (match
         Pipeline.start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg
-          ~jobs:t.jobs ~cache:t.cache ?memo_budget:t.memo_budget
-          ?pool:t.pool ~corpus:co.Pipeline.co_entries
+          ~cache:t.cache ?memo_budget:t.memo_budget ~pool:t.pool
+          ~corpus:co.Pipeline.co_entries
           ~quarantine:job.j_quarantine ?checkpoint:r.r_checkpoint
           r.r_app co.Pipeline.co_primary
       with
@@ -149,8 +147,7 @@ let drive t =
     admit_from_queue t
   done
 
-let shutdown t =
-  match t.pool with None -> () | Some p -> Domainpool.shutdown p
+let shutdown t = Domainpool.shutdown t.pool
 
 let jobs_in_order t = List.rev t.all_rev
 

@@ -12,9 +12,9 @@
     reported as a spread you can gate on).
 
     Concurrency model: jobs take turns on the {e calling} domain; what is
-    parallel is each batch's compile/verify work, fanned out over one
-    shared {!Repro_search.Domainpool} instead of per-search domain
-    spawns.  Admission control bounds the working set ([max_active]) and
+    parallel is each batch's compile/verify work, fanned out over the one
+    {!Repro_search.Domainpool} the scheduler owns and every search
+    borrows.  Admission control bounds the working set ([max_active]) and
     a bounded submission queue provides backpressure ([`Rejected]).
 
     Determinism: each job's search is exactly {!Pipeline.optimize} with

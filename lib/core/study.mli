@@ -9,11 +9,13 @@ type t = {
 }
 
 val run :
-  ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
+  ?seed:int -> ?cfg:Repro_search.Ga.config ->
+  ?pool:Repro_search.Domainpool.t -> ?cache:bool ->
   Repro_apps.Registry.t -> t option
 (** [None] if the app exposes no replayable hot region.  Results are
     memoized per (app, config identity), so figure drivers share work.
-    [jobs]/[cache] control the evaluation pool only; they cannot change
-    results, so they are not part of the memo key. *)
+    [pool] (default: a one-worker pool of the search's own) and [cache]
+    control the evaluation pool only; they cannot change results, so they
+    are not part of the memo key. *)
 
 val clear_cache : unit -> unit

@@ -5,6 +5,7 @@ module App = Repro_apps.Registry
 module Genome = Repro_search.Genome
 module Ga = Repro_search.Ga
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Pipeline = Repro_core.Pipeline
 module Cost = Repro_vm.Cost
 
@@ -55,7 +56,7 @@ let device_samples env cfg (d : Device.t) ~ev_index cycles =
   Array.init cfg.samples_per_device (fun _ ->
       ms *. Rng.lognormal rng ~mu:0.0 ~sigma)
 
-let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
+let run ?(jobs = 1) ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
     ~devices env =
   Trace.span ~cat:"fleet"
     ~args:[ ("app", env.Pipeline.app.App.name);
@@ -74,7 +75,8 @@ let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
   (* Device 0 has every app installed, so [capable] is never empty. *)
   assert (Array.length capable > 0);
   Trace.add "fleet.devices" devices;
-  let pool = Pipeline.make_core_pool ?jobs ?cache env in
+  Domainpool.with_pool ~workers:jobs @@ fun workers ->
+  let pool = Pipeline.make_core_pool ?cache ~pool:workers env in
   let tick = ref 0 in
   let avail_trace = ref [] in
   let empty_rounds = ref 0 in

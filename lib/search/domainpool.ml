@@ -54,27 +54,24 @@ let create ~workers =
 let size t = t.total
 
 let run t job =
-  if Array.length t.domains = 0 then job 0
-  else begin
-    Mutex.lock t.lock;
-    if t.job <> None then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Domainpool.run: a job is already running"
-    end;
-    t.job <- Some job;
-    t.remaining <- Array.length t.domains;
-    t.seq <- t.seq + 1;
-    Condition.broadcast t.cv;
+  Mutex.lock t.lock;
+  if t.job <> None then begin
     Mutex.unlock t.lock;
-    let caller_exn = (try job 0; None with e -> Some e) in
-    Mutex.lock t.lock;
-    while t.remaining > 0 do
-      Condition.wait t.cv t.lock
-    done;
-    t.job <- None;
-    Mutex.unlock t.lock;
-    Option.iter raise caller_exn
-  end
+    invalid_arg "Domainpool.run: a job is already running"
+  end;
+  t.job <- Some job;
+  t.remaining <- Array.length t.domains;
+  t.seq <- t.seq + 1;
+  Condition.broadcast t.cv;
+  Mutex.unlock t.lock;
+  let caller_exn = (try job 0; None with e -> Some e) in
+  Mutex.lock t.lock;
+  while t.remaining > 0 do
+    Condition.wait t.cv t.lock
+  done;
+  t.job <- None;
+  Mutex.unlock t.lock;
+  Option.iter raise caller_exn
 
 let shutdown t =
   if Array.length t.domains > 0 then begin
@@ -85,3 +82,7 @@ let shutdown t =
     Array.iter Domain.join t.domains;
     t.domains <- [||]
   end
+
+let with_pool ~workers f =
+  let t = create ~workers in
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

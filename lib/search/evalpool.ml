@@ -9,10 +9,8 @@
    synchronization beyond the work-queue index is needed and results are
    reproducible by construction.
 
-   Parallel stages either spawn fresh domains per batch (the legacy
-   one-shot path) or borrow a caller-supplied persistent [Domainpool] —
-   the serve scheduler shares one pool across every tenant's Evalpool so
-   process parallelism stays bounded.
+   Parallel stages run on the caller's persistent [Domainpool], so worker
+   domains (and their domain-local replay templates) outlive the batch.
 
    The memos are budgeted LRU caches (Stagecache-style: per-entry tick,
    evict the stalest when over budget).  Eviction can only cause
@@ -100,10 +98,9 @@ let record_worker c (id, tasks, busy) =
 type 'core slot = { s_core : 'core; mutable s_tick : int }
 
 type ('bin, 'core, 'out) t = {
-  jobs : int;
   cache : bool;
   memo_budget : int;           (* max entries per memo table *)
-  pool : Domainpool.t option;
+  pool : Domainpool.t;
   canon : Genome.t -> string;
   compile : Genome.t -> ('bin, 'core) result;
   key_of : 'bin -> string;
@@ -119,19 +116,16 @@ type ('bin, 'core, 'out) t = {
    touches, so a default pool behaves exactly like the old unbounded one. *)
 let default_memo_budget = 65536
 
-let create ?(jobs = 1) ?(cache = true) ?(memo_budget = default_memo_budget)
-    ?pool ~canon ~compile ~key_of ~verify ~finish () =
-  if jobs < 1 then invalid_arg "Evalpool.create: jobs must be >= 1";
+let create ?(cache = true) ?(memo_budget = default_memo_budget) ~pool
+    ~canon ~compile ~key_of ~verify ~finish () =
   if memo_budget < 1 then
     invalid_arg "Evalpool.create: memo_budget must be >= 1";
-  let jobs = match pool with Some p -> Domainpool.size p | None -> jobs in
-  { jobs; cache; memo_budget; pool; canon; compile; key_of; verify; finish;
+  { cache; memo_budget; pool; canon; compile; key_of; verify; finish;
     genome_cache = Hashtbl.create 256;
     key_cache = Hashtbl.create 256;
     tick = 0;
     ctr = fresh_counters () }
 
-let jobs t = t.jobs
 let stats t = snapshot t.ctr
 let cumulative_stats () = snapshot cumulative
 let reset_cumulative () =
@@ -188,15 +182,14 @@ let seed_caches t ~genomes ~keys =
     List.iter (fun (k, core) -> memo_add t t.key_cache k core) keys
   end
 
-(* Run [f] over [arr] on up to [t.jobs] domains (the calling domain acts as
-   worker 0).  Work-stealing via a shared atomic index; each output slot is
-   written by exactly one domain and published by [Domain.join] (legacy
-   path) or the pool's completion handshake (shared-pool path). *)
+(* Run [f] over [arr] on every worker of the pool (the calling domain
+   acts as worker 0).  Work-stealing via a shared atomic index; each
+   output slot is written by exactly one domain and published by the
+   pool's completion handshake. *)
 let parallel_map t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
-    let nworkers = max 1 (min t.jobs n) in
     let out = Array.make n None in
     let next = Atomic.make 0 in
     let worker wid =
@@ -217,40 +210,17 @@ let parallel_map t f arr =
       loop ();
       (wid, !count, Clock.elapsed t0)
     in
-    let finish_workers ws =
-      List.iter
-        (function
-          | Ok w ->
-            record_worker t.ctr w;
-            record_worker cumulative w
-          | Error _ -> ())
-        ws;
-      match List.find_opt Result.is_error ws with
-      | Some (Error e) -> raise e
-      | Some (Ok _) | None -> ()
-    in
-    (match t.pool with
-     | _ when nworkers = 1 ->
-       let w = worker 0 in
-       record_worker t.ctr w;
-       record_worker cumulative w
-     | Some pool ->
-       let nw = Domainpool.size pool in
-       let slots = Array.make nw None in
-       Domainpool.run pool (fun wid ->
-           slots.(wid) <- Some (try Ok (worker wid) with e -> Error e));
-       finish_workers
-         (List.filter_map Fun.id (Array.to_list slots))
-     | None ->
-       let spawned =
-         Array.init (nworkers - 1) (fun k ->
-             Domain.spawn (fun () -> worker (k + 1)))
-       in
-       let w0 = try Ok (worker 0) with e -> Error e in
-       let joined =
-         Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
-       in
-       finish_workers (Array.to_list (Array.append [| w0 |] joined)));
+    let slots = Array.make (Domainpool.size t.pool) None in
+    Domainpool.run t.pool (fun wid ->
+        slots.(wid) <- Some (try Ok (worker wid) with e -> Error e));
+    Array.iter
+      (function
+        | Some (Ok w) ->
+          record_worker t.ctr w;
+          record_worker cumulative w
+        | Some (Error _) | None -> ())
+      slots;
+    Array.iter (function Some (Error e) -> raise e | _ -> ()) slots;
     Array.map (function Some v -> v | None -> assert false) out
   end
 

@@ -3,7 +3,7 @@
     The paper's offline search is embarrassingly parallel: every genome
     evaluation is an isolated compile + verified replay of a snapshot
     (paper §3.6, Figure 6).  [Evalpool] evaluates a whole generation
-    concurrently on OCaml 5 domains and memoizes the deterministic part of
+    concurrently on the worker domains of a {!Domainpool} and memoizes the deterministic part of
     each evaluation so duplicate genomes — and distinct genomes that
     compile to the same binary — are paid for once.
 
@@ -20,7 +20,7 @@
       independent of worker count, scheduling and cache state.
 
     Determinism contract: for a fixed batch of [(ev_index, genome)] tasks,
-    [evaluate_batch] returns the same outcomes for any [jobs] value,
+    [evaluate_batch] returns the same outcomes for any pool size,
     whether or not the cache is enabled, and for any [memo_budget].  Two
     caches are maintained when enabled: a genome-level memo (canonicalized
     genome -> core result) and a binary-level memo ([key_of] the compiled
@@ -55,26 +55,22 @@ val default_memo_budget : int
     never evicts). *)
 
 val create :
-  ?jobs:int ->
   ?cache:bool ->
   ?memo_budget:int ->
-  ?pool:Domainpool.t ->
+  pool:Domainpool.t ->
   canon:(Genome.t -> string) ->
   compile:(Genome.t -> ('bin, 'core) result) ->
   key_of:('bin -> string) ->
   verify:('bin -> 'core) ->
   finish:(ev_index:int -> 'core -> 'out) ->
   unit -> ('bin, 'core, 'out) t
-(** [jobs] (default 1) is the number of worker domains; [jobs = 1] runs
-    everything on the calling domain.  [cache] (default true) enables the
+(** [pool] runs the parallel stages; the caller owns it and may share it
+    across several Evalpools (the serve scheduler shares one across every
+    tenant).  [cache] (default true) enables the
     genome and binary memos; when disabled every task is evaluated
     honestly, which is what the differential tests rely on.
     [memo_budget] caps each memo table's entry count ({!default_memo_budget}
-    by default); the least-recently-used entry is evicted when full.
-    [pool], when given, makes parallel stages run on the supplied
-    persistent {!Domainpool} instead of spawning fresh domains per batch
-    (and overrides [jobs] with the pool's size) — this is how the serve
-    scheduler shares one domain pool across concurrent searches. *)
+    by default); the least-recently-used entry is evicted when full. *)
 
 val evaluate_batch : ('bin, 'core, 'out) t -> (int * Genome.t) array -> 'out array
 (** Evaluate one generation.  Tasks are [(ev_index, genome)] pairs; the
@@ -91,9 +87,6 @@ val seed_caches :
     as produced by this pool's own [compile]/[verify] stages in an earlier
     process — checkpoint resume feeds its journal through this).  No-op
     when the cache is disabled; entries respect the LRU budget. *)
-
-val jobs : _ t -> int
-(** The pool's worker-domain count, as resolved at {!create} time. *)
 
 val stats : _ t -> stats
 (** Snapshot of this pool's counters. *)

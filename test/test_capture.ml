@@ -405,6 +405,42 @@ let prop_dirty_diff_equals_full_scan =
        fast = full && Verify.diff_matches ctx snap full
        && not (Verify.diff_matches ctx snap ((0, 1L) :: full)))
 
+(* The dirty-page diff reads original words from the replay's template.
+   With a device store attached that template is materialized from
+   checksum-validated store reads, not the snapshot's page lists; the
+   diff must still equal the full scan against the page lists. *)
+let test_store_backed_dirty_diff () =
+  let cap = Lazy.force fft_capture in
+  let dx = App.dexfile (fft ()) in
+  let snap = cap.Pipeline.snapshot in
+  with_attached_store snap @@ fun _ ->
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
+  @@ fun () ->
+  let r = Replay.run dx snap Replay.Interpreter in
+  Alcotest.(check int) "template read from the store" 1
+    (Trace.counter_value "storage.template_reads");
+  let ctx = r.Replay.ctx in
+  let mem = ctx.Vm.Exec_ctx.mem in
+  let heap_map =
+    List.find (fun m -> m.Mem.map_kind = Mem.Rheap) snap.Snapshot.snap_maps
+  in
+  (* one captured page rewritten, one never-captured page dirtied *)
+  let captured = (List.hd snap.Snapshot.snap_pages).Snapshot.pg_index in
+  Mem.write_int mem ((captured * Mem.page_size) + 8) 77;
+  Mem.write_int mem
+    (heap_map.Mem.map_base + ((heap_map.Mem.map_npages - 1) * Mem.page_size))
+    1234;
+  let fast = Verify.diff_against_snapshot ctx snap in
+  Alcotest.(check int) "dirty-page scan, no fallback" 0
+    (Trace.counter_value "verify.full_scans");
+  let full = Verify.diff_against_snapshot_full ctx snap in
+  Alcotest.(check bool) "fast = full" true (fast = full);
+  Alcotest.(check bool) "diff_matches agrees" true
+    (Verify.diff_matches ctx snap full
+     && not (Verify.diff_matches ctx snap ((0, 1L) :: full)))
+
 let test_replay_isolated_from_online_memory () =
   (* replays rebuild memory from the snapshot: mutating the replayed heap
      twice gives identical results (no cross-replay leakage) *)
@@ -645,7 +681,9 @@ let () =
          Alcotest.test_case "type profile" `Quick test_typeprof_collected ]);
       ("dirty-scan",
        [ Alcotest.test_case "pages_scanned counter" `Quick test_dirty_scan_counter;
-         QCheck_alcotest.to_alcotest prop_dirty_diff_equals_full_scan ]);
+         QCheck_alcotest.to_alcotest prop_dirty_diff_equals_full_scan;
+         Alcotest.test_case "store-backed template" `Quick
+           test_store_backed_dirty_diff ]);
       ("corpus",
        [ Alcotest.test_case "structure" `Quick test_corpus_structure;
          Alcotest.test_case "maps never conflated" `Quick

@@ -7,6 +7,7 @@
 module Ga = Repro_search.Ga
 module Genome = Repro_search.Genome
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Blockexec = Repro_lir.Blockexec
@@ -108,11 +109,12 @@ let test_plan_cache_tracks_binary_memo () =
 
 (* Synthetic stages over toy "binaries" (the genome itself): compile and
    verify count their invocations so the memo behaviour is observable. *)
-let counting_pool ?(jobs = 1) ?(cache = true) ?memo_budget ?key_of () =
+let counting_pool ?(cache = true) ?memo_budget ?key_of () =
   let compiles = ref 0 and verifies = ref 0 in
   let key = match key_of with Some k -> k | None -> Genome.to_string in
   let pool =
-    Evalpool.create ~jobs ~cache ?memo_budget ~canon:Genome.to_string
+    Evalpool.create ~pool:(Domainpool.create ~workers:1) ~cache ?memo_budget
+      ~canon:Genome.to_string
       ~compile:(fun g -> incr compiles; Ok g)
       ~key_of:key
       ~verify:(fun g -> incr verifies; String.length (Genome.to_string g))
@@ -210,8 +212,8 @@ let test_memo_budget_digest_invariant () =
 
 let test_parallel_matches_sequential () =
   (* pure stages, so domains can run them without shared state *)
-  let make jobs =
-    Evalpool.create ~jobs ~cache:false ~canon:Genome.to_string
+  let make pool =
+    Evalpool.create ~pool ~cache:false ~canon:Genome.to_string
       ~compile:(fun g ->
           if List.length g mod 7 = 3 then Error (-1)
           else Ok g)
@@ -224,14 +226,19 @@ let test_parallel_matches_sequential () =
   let tasks =
     Array.init 40 (fun i -> (i + 1, Genome.random rng))
   in
-  let seq = Evalpool.evaluate_batch (make 1) tasks in
-  let par = Evalpool.evaluate_batch (make 4) tasks in
+  let batch jobs =
+    Domainpool.with_pool ~workers:jobs @@ fun pool ->
+    Evalpool.evaluate_batch (make pool) tasks
+  in
+  let seq = batch 1 in
+  let par = batch 4 in
   Alcotest.(check bool) "4 domains, same outputs" true (seq = par);
   Alcotest.(check int) "aligned with input" 40 (fst seq.(39))
 
 let test_worker_errors_propagate () =
+  Domainpool.with_pool ~workers:2 @@ fun workers ->
   let pool =
-    Evalpool.create ~jobs:2 ~cache:false ~canon:Genome.to_string
+    Evalpool.create ~pool:workers ~cache:false ~canon:Genome.to_string
       ~compile:(fun _ -> failwith "compile stage exploded")
       ~key_of:Genome.to_string
       ~verify:(fun g -> String.length (Genome.to_string g))
@@ -241,6 +248,106 @@ let test_worker_errors_propagate () =
   Alcotest.check_raises "stage failure surfaces"
     (Failure "compile stage exploded")
     (fun () -> ignore (Evalpool.evaluate_batch pool [| (1, ga); (2, gb) |]))
+
+(* ---------------------------- Domainpool ----------------------------- *)
+
+let test_pool_runs_each_worker_once () =
+  Domainpool.with_pool ~workers:3 @@ fun pool ->
+  let runs = Array.init 3 (fun _ -> Atomic.make 0) in
+  for _ = 1 to 5 do
+    Domainpool.run pool (fun wid -> Atomic.incr runs.(wid))
+  done;
+  Alcotest.(check (list int)) "five runs, once per worker each" [ 5; 5; 5 ]
+    (Array.to_list (Array.map Atomic.get runs))
+
+let test_pool_caller_exn_waits_for_workers () =
+  Domainpool.with_pool ~workers:3 @@ fun pool ->
+  let finished = Atomic.make 0 in
+  Alcotest.check_raises "caller's exception re-raised" Exit (fun () ->
+      Domainpool.run pool (fun wid ->
+          if wid = 0 then raise Exit;
+          Unix.sleepf 0.05;
+          Atomic.incr finished));
+  Alcotest.(check int) "every pool worker had finished" 2
+    (Atomic.get finished)
+
+let test_pool_survives_worker_exn () =
+  Domainpool.with_pool ~workers:2 @@ fun pool ->
+  Domainpool.run pool (fun wid -> if wid = 1 then failwith "worker died");
+  let ran = Atomic.make 0 in
+  Domainpool.run pool (fun _ -> Atomic.incr ran);
+  Alcotest.(check int) "next run reaches every worker" 2 (Atomic.get ran)
+
+let test_pool_rejects_nested_run () =
+  List.iter
+    (fun workers ->
+       Domainpool.with_pool ~workers @@ fun pool ->
+       let nested = ref None in
+       Domainpool.run pool (fun wid ->
+           if wid = 0 then
+             nested :=
+               Some
+                 (match Domainpool.run pool ignore with
+                  | () -> "ran"
+                  | exception Invalid_argument _ -> "Invalid_argument"));
+       Alcotest.(check (option string))
+         (Printf.sprintf "nested run on a %d-worker pool" workers)
+         (Some "Invalid_argument") !nested)
+    [ 1; 2 ]
+
+let test_pool_shutdown_idempotent () =
+  let pool = Domainpool.create ~workers:3 in
+  Domainpool.shutdown pool;
+  Domainpool.shutdown pool;
+  Alcotest.(check int) "size survives shutdown" 3 (Domainpool.size pool)
+
+let test_pool_size1_runs_inline () =
+  Domainpool.with_pool ~workers:1 @@ fun pool ->
+  let caller = Domain.self () in
+  let seen = ref None in
+  Domainpool.run pool (fun wid -> seen := Some (wid, Domain.self () = caller));
+  Alcotest.(check (option (pair int bool))) "worker 0 is the calling domain"
+    (Some (0, true)) !seen
+
+(* Worker domains live as long as the search, so each one builds a
+   snapshot's replay template once: at most one build per snapshot on the
+   calling domain and one on the pool's second domain, however many
+   batches the search runs. *)
+let test_templates_survive_batches () =
+  let app = Option.get (App.find "FFT") in
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
+  @@ fun () ->
+  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  let snapshots = 1 + List.length co.Pipeline.co_entries in
+  let o =
+    Pipeline.optimize ~seed:18 ~jobs:2 ~corpus:co.Pipeline.co_entries app
+      co.Pipeline.co_primary
+  in
+  Alcotest.(check bool) "several batches ran" true
+    (o.Pipeline.pool_stats.Evalpool.batches > 2);
+  let builds = Trace.counter_value "replay.template_builds" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d template builds <= 2 x %d snapshots" builds snapshots)
+    true
+    (builds <= 2 * snapshots)
+
+(* A session that owns its pool must release the pool's domains when the
+   search dies: 64 aborted -j3 sessions would otherwise hold 128 domains,
+   past the runtime's limit. *)
+let test_aborted_sessions_release_domains () =
+  let app = Option.get (App.find "FFT") in
+  let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+  for i = 1 to 64 do
+    let s =
+      Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~jobs:3 ~abort_after:1 app
+        cap
+    in
+    match Pipeline.search_step s with
+    | _ -> Alcotest.failf "session %d was not aborted" i
+    | exception Repro_core.Checkpoint.Injected_abort -> ()
+  done
 
 let () =
   Alcotest.run "evalpool"
@@ -271,4 +378,21 @@ let () =
        [ Alcotest.test_case "parallel = sequential" `Quick
            test_parallel_matches_sequential;
          Alcotest.test_case "errors propagate" `Quick
-           test_worker_errors_propagate ]) ]
+           test_worker_errors_propagate;
+         Alcotest.test_case "templates survive batches" `Quick
+           test_templates_survive_batches;
+         Alcotest.test_case "aborted sessions release domains" `Quick
+           test_aborted_sessions_release_domains ]);
+      ("domainpool",
+       [ Alcotest.test_case "each worker once per run" `Quick
+           test_pool_runs_each_worker_once;
+         Alcotest.test_case "caller exception waits for workers" `Quick
+           test_pool_caller_exn_waits_for_workers;
+         Alcotest.test_case "worker exception, next run fine" `Quick
+           test_pool_survives_worker_exn;
+         Alcotest.test_case "nested run rejected" `Quick
+           test_pool_rejects_nested_run;
+         Alcotest.test_case "shutdown idempotent" `Quick
+           test_pool_shutdown_idempotent;
+         Alcotest.test_case "size 1 runs inline" `Quick
+           test_pool_size1_runs_inline ]) ]

@@ -6,6 +6,7 @@
 module Ga = Repro_search.Ga
 module Genome = Repro_search.Genome
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Compile = Repro_lir.Compile
@@ -62,7 +63,9 @@ let test_canon_folds_unobservable_params () =
     (classify fe env.Pipeline.region g2);
   (* the genome memo keys on the same canonical form: evaluating the
      second variant is a hit, not a compile *)
-  let pool = Pipeline.make_pool ~jobs:1 ~cache:true env in
+  let pool =
+    Pipeline.make_pool ~pool:(Domainpool.create ~workers:1) ~cache:true env
+  in
   let o1 = (Evalpool.evaluate_batch pool [| (0, g1) |]).(0) in
   let hits_before = (Evalpool.stats pool).Evalpool.genome_hits in
   let o2 = (Evalpool.evaluate_batch pool [| (1, g2) |]).(0) in
@@ -94,7 +97,8 @@ let prop_outcomes_transparent =
        let run ~stage ~jobs =
          with_stage stage @@ fun () ->
          Stagecache.reset ();
-         let pool = Pipeline.make_pool ~jobs ~cache:false env in
+         Domainpool.with_pool ~workers:jobs @@ fun workers ->
+         let pool = Pipeline.make_pool ~pool:workers ~cache:false env in
          Array.to_list (Evalpool.evaluate_batch pool tasks)
        in
        let reference = run ~stage:true ~jobs:1 in

@@ -16,6 +16,7 @@
 module Trace = Repro_util.Trace
 module Rng = Repro_util.Rng
 module Evalpool = Repro_search.Evalpool
+module Domainpool = Repro_search.Domainpool
 module Genome = Repro_search.Genome
 module Ga = Repro_search.Ga
 module Pipeline = Repro_core.Pipeline
@@ -326,8 +327,9 @@ let gene p = { Genome.g_pass = p; g_params = [| 0 |] }
 let test_evalpool_trace_parses () =
   let json =
     with_tracing @@ fun () ->
+    Domainpool.with_pool ~workers:4 @@ fun workers ->
     let pool =
-      Evalpool.create ~jobs:4 ~cache:false ~canon:Genome.to_string
+      Evalpool.create ~pool:workers ~cache:false ~canon:Genome.to_string
         ~compile:(fun g -> Ok g)
         ~key_of:Genome.to_string
         ~verify:(fun g -> String.length (Genome.to_string g))
