@@ -856,7 +856,8 @@ let compile_bench () =
   in
   Stagecache.set_enabled true;
   (* first visit: generation 2 compiled with only generation 1 cached —
-     partial prefix reuse plus whole-binary hits on exact re-proposals *)
+     partial prefix reuse, and exact re-proposals resume every method
+     from its full-length prefix *)
   let gen2_ns =
     time_gen2 ~iters
       ~prepare:(fun () ->
@@ -927,8 +928,8 @@ let compile_bench () =
      hoisted front-end, %.2fx prefix reuse)\n"
     speedup gen2_speedup frontend_speedup prefix_speedup;
   Printf.printf
-    "  stage cache     %d/%d prefix hits (%.0f%%), %d/%d whole-binary hits, \
-     %d/%d genes reused (%.0f%%), longest prefix %d\n"
+    "  stage cache     %d/%d prefix hits (%.0f%%), %d/%d whole compiles \
+     from cache, %d/%d genes reused (%.0f%%), longest prefix %d\n"
     hits (hits + misses)
     (100.0 *. frac hits misses)
     bhits (bhits + bmisses)

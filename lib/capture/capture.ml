@@ -36,6 +36,9 @@ let fault_ms = 0.012              (* user-space SIGSEGV round trip *)
 let cow_ms = 0.012                (* kernel page copy on first write *)
 let eager_copy_ms = 0.038         (* CERE-style user-space copy at fault *)
 
+(* Snapshot ids are "app#n", with n a process-wide capture serial. *)
+let capture_serial = Atomic.make 0
+
 let charge_ms (ctx : Ctx.t) ms =
   Ctx.charge ctx (int_of_float (ms *. float_of_int ctx.Ctx.cost.Cost.cycles_per_ms))
 
@@ -130,7 +133,9 @@ let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run 
       maps
   in
   let snapshot = {
-    Snapshot.snap_app = app;
+    Snapshot.snap_id =
+      Printf.sprintf "%s#%d" app (Atomic.fetch_and_add capture_serial 1);
+    snap_app = app;
     snap_mid = mid;
     snap_args = args;
     snap_maps = maps;

@@ -1,10 +1,12 @@
 module Mem = Repro_os.Mem
 module Storage = Repro_os.Storage
 module Trace = Repro_util.Trace
+module Bounded = Repro_util.Bounded
 
 type page_image = { pg_index : int; pg_data : int64 array }
 
 type t = {
+  snap_id : string;
   snap_app : string;
   snap_mid : int;
   snap_args : Repro_vm.Value.t list;
@@ -19,7 +21,7 @@ type t = {
 let program_bytes t = List.length t.snap_pages * Mem.page_size
 let common_bytes t = List.length t.snap_common * Mem.page_size
 
-let program_label t = t.snap_app ^ "/capture"
+let program_label t = t.snap_id ^ "/capture"
 let common_label t = t.snap_app ^ "/boot-common"
 
 let page_list images =
@@ -50,17 +52,16 @@ let current_store () = Atomic.get store_ref
    refcounts) are never shared across domains — each Domainpool worker
    builds its own template, amortized over every batch the pool runs.
 
-   The cache holds a small MRU list rather than a single entry: corpus
-   verification cycles through K snapshots per candidate, and a
-   one-entry cache would rebuild every template K times per evaluation —
-   O(snapshot), not O(dirty pages).  The cap bounds the per-domain
-   footprint (a template pins every captured page of its snapshot). *)
-let max_cached_templates = 12
+   The cache holds up to 12 templates, keyed by snapshot id, rather than
+   a single entry: corpus verification cycles through K snapshots per
+   candidate, and a one-entry cache would rebuild every template K times
+   per evaluation — O(snapshot), not O(dirty pages).  The budget bounds
+   the per-domain footprint (a template pins every captured page of its
+   snapshot). *)
+let templates : Mem.t Bounded.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bounded.create ~budget:12 ())
 
-let template_slot : (t * Mem.t) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
-
-let invalidate_templates () = Domain.DLS.set template_slot []
+let invalidate_templates () = Bounded.clear (Domain.DLS.get templates)
 
 (* page images for the template: from the attached store when this
    snapshot's blobs are in it (checksum-validated read; failures raise
@@ -94,22 +95,12 @@ let build_template snap =
   mem
 
 let template snap =
-  let entries = Domain.DLS.get template_slot in
-  match List.find_opt (fun (s, _) -> s == snap) entries with
-  | Some (_, mem) ->
-    (match entries with
-     | (s0, _) :: _ when s0 == snap -> ()   (* already most recent *)
-     | _ ->
-       Domain.DLS.set template_slot
-         ((snap, mem) :: List.filter (fun (s, _) -> s != snap) entries));
-    mem
+  let cache = Domain.DLS.get templates in
+  match Bounded.find cache snap.snap_id with
+  | Some mem -> mem
   | None ->
     let mem = build_template snap in
-    let entries = (snap, mem) :: entries in
-    let entries = List.filteri (fun i _ -> i < max_cached_templates) entries in
-    Domain.DLS.set template_slot entries;
+    ignore (Bounded.add cache snap.snap_id mem);
     mem
 
-let cached_template snap =
-  List.find_opt (fun (s, _) -> s == snap) (Domain.DLS.get template_slot)
-  |> Option.map snd
+let cached_template snap = Bounded.find (Domain.DLS.get templates) snap.snap_id

@@ -11,6 +11,9 @@ type page_image = { pg_index : int; pg_data : int64 array }
 (** One captured page: its page-table index and original word contents. *)
 
 type t = {
+  snap_id : string;
+  (** ["app#n"], unique per capture within the process: names the
+      capture's store blob and its replay template *)
   snap_app : string;
   snap_mid : int;                        (** hot-region root method *)
   snap_args : Repro_vm.Value.t list;     (** architectural state *)
@@ -31,7 +34,9 @@ val common_bytes : t -> int
     shared by every capture). *)
 
 val program_label : t -> string
-(** Store label of the program-specific page blob (["app/capture"]). *)
+(** Store label of the program-specific page blob (["app#n/capture"]):
+    one blob per capture, so corpus captures of one app never overwrite
+    each other. *)
 
 val common_label : t -> string
 (** Store label of this app's boot-common page blob (["app/boot-common"]).
@@ -58,14 +63,15 @@ val set_store : Repro_os.Storage.t option -> unit
 val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
-(** Drop the calling domain's cached template so the next {!template}
+(** Drop the calling domain's cached templates so the next {!template}
     call rebuilds from the (possibly mutated) store — used by the
     corruption tests and fault campaigns. *)
 
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
     captured page installed, built once per (domain, snapshot) and cached
-    in domain-local storage.  Replays [Repro_os.Mem.clone] it instead of
+    in domain-local storage under the snapshot id (a {!Repro_util.Bounded}
+    LRU of 12 templates).  Replays [Repro_os.Mem.clone] it instead of
     re-copying every page, making per-replay setup O(page table) and
     verification O(dirty pages).  The template must be treated as
     immutable; never write through it. *)

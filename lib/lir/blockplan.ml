@@ -31,6 +31,7 @@ module Ast = Repro_dex.Ast
 module Hir = Repro_hgraph.Hir
 module Cost = Repro_vm.Cost
 module Trace = Repro_util.Trace
+module Bounded = Repro_util.Bounded
 
 (* ------------------------------ micro-ops --------------------------- *)
 
@@ -367,37 +368,34 @@ let build cost binary =
   Trace.add "blockexec.checks_hoisted" !hoisted;
   { pl_cost = cost; pl_funcs }
 
-(* Keyed by (binary digest, cost model): [Replay.run ?cost] may replay the
-   same binary under different models, and segment bounds depend on the
-   model.  Lookup and build both run under the lock so the build/hit
+(* Keyed by binary digest, then by cost model within the digest's bucket:
+   [Replay.run ?cost] may replay the same binary under different models,
+   and segment bounds depend on the model.  The LRU budget counts
+   digests.  Lookup and build both run under the lock so the build/hit
    counters are deterministic for every -j level: exactly one build per
    unique key, every other install is a hit. *)
-let cache : (string, (Cost.model * t) list) Hashtbl.t = Hashtbl.create 64
+let cache : (Cost.model * t) list ref Bounded.t = Bounded.create ~budget:256 ()
 let cache_lock = Mutex.create ()
-let max_cached = 256
 
 let plan_for ?(cost = Cost.default) binary =
   let key = Binary.digest binary in
   Mutex.protect cache_lock @@ fun () ->
-  let entries = Option.value (Hashtbl.find_opt cache key) ~default:[] in
-  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) entries with
+  let bucket =
+    match Bounded.find cache key with
+    | Some bucket -> bucket
+    | None ->
+      let bucket = ref [] in
+      let evicted = Bounded.add cache key bucket in
+      if evicted > 0 then Trace.add "blockexec.plan_cache_evictions" evicted;
+      bucket
+  in
+  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) !bucket with
   | Some (_, plan) ->
     Trace.incr "blockexec.plan_cache_hits";
     plan
   | None ->
-    let entries =
-      if Hashtbl.length cache >= max_cached && entries = [] then begin
-        (* size backstop: the GA's working set is far below this; on
-           overflow drop everything rather than track recency *)
-        Hashtbl.reset cache;
-        Trace.incr "blockexec.plan_cache_flushes";
-        []
-      end
-      else entries
-    in
     let plan = build cost binary in
-    Hashtbl.replace cache key ((cost, plan) :: entries);
+    bucket := (cost, plan) :: !bucket;
     plan
 
-let reset_cache () =
-  Mutex.protect cache_lock @@ fun () -> Hashtbl.reset cache
+let reset_cache () = Mutex.protect cache_lock @@ fun () -> Bounded.clear cache

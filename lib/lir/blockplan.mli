@@ -14,7 +14,7 @@
     failure at the same point.  Counters (emitted at build when tracing is
     enabled): [blockexec.blocks_formed], [blockexec.ops_fused],
     [blockexec.checks_hoisted], [blockexec.plan_builds],
-    [blockexec.plan_cache_hits]. *)
+    [blockexec.plan_cache_hits], [blockexec.plan_cache_evictions]. *)
 
 type mop =
   | Op of Repro_hgraph.Hir.instr
@@ -98,7 +98,9 @@ val build : Repro_vm.Cost.model -> Binary.t -> t
 
 val plan_for : ?cost:Repro_vm.Cost.model -> Binary.t -> t
 (** Cached {!build}, keyed by ([Binary.digest], cost model) with a typed
-    {!Repro_vm.Cost.equal} match — never polymorphic compare.  Thread-safe;
-    build/hit counters are deterministic across [-j] levels. *)
+    {!Repro_vm.Cost.equal} match — never polymorphic compare.  A
+    {!Repro_util.Bounded} LRU over the 256 most recently used digests.
+    Thread-safe; build/hit counters are deterministic across [-j]
+    levels. *)
 
 val reset_cache : unit -> unit

@@ -12,10 +12,10 @@
    Parallel stages run on the caller's persistent [Domainpool], so worker
    domains (and their domain-local replay templates) outlive the batch.
 
-   The memos are budgeted LRU caches (Stagecache-style: per-entry tick,
-   evict the stalest when over budget).  Eviction can only cause
-   re-computation of a deterministic stage, never a different result, so
-   the search-history digest is invariant under any budget.
+   The memos are [Bounded] caches with one unit of weight per entry.
+   Eviction can only cause re-computation of a deterministic stage, never
+   a different result, so the search-history digest is invariant under
+   any budget.
 
    Tracing: each batch is a span on the calling domain and each worker
    wraps its work loop in a span on its own domain, so an exported trace
@@ -24,6 +24,7 @@
 
 module Trace = Repro_util.Trace
 module Clock = Repro_util.Clock
+module Bounded = Repro_util.Bounded
 
 type worker = {
   w_id : int;
@@ -94,21 +95,16 @@ let record_worker c (id, tasks, busy) =
   let t, b = !r in
   r := (t + tasks, b +. busy)
 
-(* One memo entry: the cached core plus its last-touch tick for LRU. *)
-type 'core slot = { s_core : 'core; mutable s_tick : int }
-
 type ('bin, 'core, 'out) t = {
   cache : bool;
-  memo_budget : int;           (* max entries per memo table *)
   pool : Domainpool.t;
   canon : Genome.t -> string;
   compile : Genome.t -> ('bin, 'core) result;
   key_of : 'bin -> string;
   verify : 'bin -> 'core;
   finish : ev_index:int -> 'core -> 'out;
-  genome_cache : (string, 'core slot) Hashtbl.t;
-  key_cache : (string, 'core slot) Hashtbl.t;
-  mutable tick : int;
+  genome_cache : 'core Bounded.t;
+  key_cache : 'core Bounded.t;
   ctr : counters;
 }
 
@@ -120,13 +116,15 @@ let create ?(cache = true) ?(memo_budget = default_memo_budget) ~pool
     ~canon ~compile ~key_of ~verify ~finish () =
   if memo_budget < 1 then
     invalid_arg "Evalpool.create: memo_budget must be >= 1";
-  { cache; memo_budget; pool; canon; compile; key_of; verify; finish;
-    genome_cache = Hashtbl.create 256;
-    key_cache = Hashtbl.create 256;
-    tick = 0;
+  { cache; pool; canon; compile; key_of; verify; finish;
+    genome_cache = Bounded.create ~budget:memo_budget ();
+    key_cache = Bounded.create ~budget:memo_budget ();
     ctr = fresh_counters () }
 
-let stats t = snapshot t.ctr
+let stats t =
+  { (snapshot t.ctr) with
+    evictions = Bounded.evictions t.genome_cache + Bounded.evictions t.key_cache }
+
 let cumulative_stats () = snapshot cumulative
 let reset_cumulative () =
   let c = cumulative in
@@ -135,51 +133,21 @@ let reset_cumulative () =
   c.c_verifies <- 0; c.c_evictions <- 0;
   Hashtbl.reset c.c_workers
 
-(* ----------------------------- memo LRU ------------------------------ *)
+(* ------------------------------- memos ------------------------------- *)
 
-let touch t slot =
-  t.tick <- t.tick + 1;
-  slot.s_tick <- t.tick
-
-let memo_find t tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.s_core
-
-(* Evict the least-recently-touched entry.  O(n) scan, same trade-off as
-   the stage cache: eviction is rare relative to lookups and the table is
-   budget-bounded. *)
-let evict_one t tbl =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key slot ->
-       match !victim with
-       | Some (_, best) when best <= slot.s_tick -> ()
-       | _ -> victim := Some (key, slot.s_tick))
-    tbl;
-  match !victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove tbl key;
-    t.ctr.c_evictions <- t.ctr.c_evictions + 1;
-    cumulative.c_evictions <- cumulative.c_evictions + 1;
-    Trace.incr "evalpool.memo_evictions"
-
-let memo_add t tbl key core =
-  if not (Hashtbl.mem tbl key) then begin
-    while Hashtbl.length tbl >= t.memo_budget do
-      evict_one t tbl
-    done;
-    t.tick <- t.tick + 1;
-    Hashtbl.add tbl key { s_core = core; s_tick = t.tick }
+(* Per-pool evictions are read from the two tables; the process-wide
+   total is accumulated here. *)
+let memo_add tbl key core =
+  let n = Bounded.add tbl key core in
+  if n > 0 then begin
+    cumulative.c_evictions <- cumulative.c_evictions + n;
+    Trace.add "evalpool.memo_evictions" n
   end
 
 let seed_caches t ~genomes ~keys =
   if t.cache then begin
-    List.iter (fun (c, core) -> memo_add t t.genome_cache c core) genomes;
-    List.iter (fun (k, core) -> memo_add t t.key_cache k core) keys
+    List.iter (fun (c, core) -> memo_add t.genome_cache c core) genomes;
+    List.iter (fun (k, core) -> memo_add t.key_cache k core) keys
   end
 
 (* Run [f] over [arr] on every worker of the pool (the calling domain
@@ -258,7 +226,7 @@ let evaluate_batch t tasks =
   Array.iteri
     (fun i (_, _) ->
        let c = canons.(i) in
-       match if t.cache then memo_find t t.genome_cache c else None with
+       match if t.cache then Bounded.find t.genome_cache c else None with
        | Some core ->
          cores.(i) <- Some core;
          bump_hit ()
@@ -294,7 +262,7 @@ let evaluate_batch t tasks =
        match bin with
        | None -> ()
        | Some (_, key) ->
-         (match if t.cache then memo_find t t.key_cache key else None with
+         (match if t.cache then Bounded.find t.key_cache key else None with
           | Some core ->
             rep_core.(k) <- Some core;
             bump_key_hit ()
@@ -333,7 +301,7 @@ let evaluate_batch t tasks =
     Array.iteri
       (fun k bin ->
          match bin, rep_core.(k) with
-         | Some (_, key), Some core -> memo_add t t.key_cache key core
+         | Some (_, key), Some core -> memo_add t.key_cache key core
          | _, _ -> ())
       rep_bin;
   (* Publish representative results into an in-batch table first (and the
@@ -347,7 +315,7 @@ let evaluate_batch t tasks =
        in
        cores.(i) <- Some core;
        Hashtbl.replace batch_results canons.(i) core;
-       if t.cache then memo_add t t.genome_cache canons.(i) core)
+       if t.cache then memo_add t.genome_cache canons.(i) core)
     reps;
   Array.mapi
     (fun i (ev_index, _) ->

@@ -25,7 +25,7 @@
     caches are maintained when enabled: a genome-level memo (canonicalized
     genome -> core result) and a binary-level memo ([key_of] the compiled
     binary -> core result, which also feeds the GA's identical-binaries
-    halting rule upstream).  Both are budgeted LRU tables — a long-lived
+    halting rule upstream).  Both are {!Repro_util.Bounded} LRU tables — a long-lived
     serving process evaluates millions of genomes, so unbounded memos
     would be a slow leak; eviction merely forces a deterministic
     recomputation and can never change an outcome. *)

@@ -312,6 +312,40 @@ let test_store_corruption_quarantines_not_crashes () =
       | Replay.Finished _ -> ()
       | _ -> Alcotest.fail "fallback to in-memory pages failed")
 
+(* The device store is result-transparent with a corpus attached: every
+   capture spools under its own snapshot id, so each corpus entry's
+   store-backed template is built from its own pages, not from whichever
+   capture of the app was spooled last. *)
+let test_store_corpus_search_unchanged () =
+  let app = fft () in
+  let search () =
+    let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+    let opt =
+      Pipeline.optimize ~seed:18 ~cfg:Repro_search.Ga.quick_config
+        ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+    in
+    (co, Pipeline.search_digest opt)
+  in
+  let _, plain = search () in
+  Snapshot.set_store (Some (Storage.create ()));
+  let co, stored =
+    Fun.protect
+      ~finally:(fun () ->
+          Snapshot.set_store None;
+          Snapshot.invalidate_templates ())
+      search
+  in
+  let ids =
+    co.Pipeline.co_primary.Pipeline.snapshot.Snapshot.snap_id
+    :: List.map
+      (fun ce -> ce.Pipeline.ce_snapshot.Snapshot.snap_id)
+      co.Pipeline.co_entries
+  in
+  Alcotest.(check int) "corpus snapshot ids distinct" 3
+    (List.length (List.sort_uniq String.compare ids));
+  Alcotest.(check string) "search digest with and without the store" plain
+    stored
+
 let test_eager_mode_costs_more () =
   let app = fft () in
   let normal = (capture_app app).Pipeline.overhead in
@@ -698,4 +732,6 @@ let () =
          Alcotest.test_case "store-backed template" `Quick
            test_store_backed_template_equivalent;
          Alcotest.test_case "corruption quarantines" `Quick
-           test_store_corruption_quarantines_not_crashes ]) ]
+           test_store_corruption_quarantines_not_crashes;
+         Alcotest.test_case "corpus search unchanged by the store" `Quick
+           test_store_corpus_search_unchanged ]) ]

@@ -100,8 +100,8 @@ let test_plan_cache_tracks_binary_memo () =
     builds1 (Trace.counter_value "blockexec.plan_builds");
   Alcotest.(check bool) "repeat search hits the plan cache" true
     (Trace.counter_value "blockexec.plan_cache_hits" > 0);
-  Alcotest.(check int) "small searches never flush the cache" 0
-    (Trace.counter_value "blockexec.plan_cache_flushes");
+  Alcotest.(check int) "small searches never evict a plan" 0
+    (Trace.counter_value "blockexec.plan_cache_evictions");
   Alcotest.(check int) "fresh pool re-verified the same binaries"
     verifies o2.Pipeline.pool_stats.Evalpool.verifies
 

@@ -1,9 +1,11 @@
-(* Tests for the statistics, RNG and table utilities (lib/util). *)
+(* Tests for the statistics, RNG, table and bounded-cache utilities
+   (lib/util). *)
 
 module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Clock = Repro_util.Clock
+module Bounded = Repro_util.Bounded
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose = Alcotest.(check (float 1e-2))
@@ -335,6 +337,112 @@ let prop_percentile_monotone =
        let lo = min p1 p2 and hi = max p1 p2 in
        Stats.percentile xs lo <= Stats.percentile xs hi)
 
+(* ---------------------------- Bounded -------------------------------- *)
+
+(* Reference model: an association list, most recently used first, whose
+   values are their own weights.  Eviction drops the last element. *)
+type bounded_op =
+  | Add of int * int      (* key, value (= weight) *)
+  | Find of int
+  | Set_budget of int
+  | Clear
+
+let show_op = function
+  | Add (k, v) -> Printf.sprintf "add k%d %d" k v
+  | Find k -> Printf.sprintf "find k%d" k
+  | Set_budget b -> Printf.sprintf "budget %d" b
+  | Clear -> "clear"
+
+let bounded_keys = List.init 8 (Printf.sprintf "k%d")
+
+let prop_bounded_matches_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun k v -> Add (k, v)) (int_bound 7) (int_bound 12));
+          (4, map (fun k -> Find k) (int_bound 7));
+          (1, map (fun b -> Set_budget b) (int_bound 20));
+          (1, return Clear) ])
+  in
+  QCheck.Test.make ~name:"Bounded agrees with an assoc-list LRU model"
+    ~count:500
+    QCheck.(
+      pair (int_bound 20)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+           Gen.(list_size (int_range 1 60) gen_op)))
+    (fun (budget0, ops) ->
+       let c = Bounded.create ~weight:Fun.id ~budget:budget0 () in
+       let entries = ref [] and budget = ref budget0 and evictions = ref 0 in
+       let held () = List.fold_left (fun a (_, v) -> a + v) 0 !entries in
+       (* drop the stalest entry while over budget; the victims, stalest
+          first *)
+       let evict () =
+         let victims = ref [] in
+         while held () > !budget do
+           match List.rev !entries with
+           | (k, _) :: rest ->
+             victims := k :: !victims;
+             entries := List.rev rest
+           | [] -> assert false
+         done;
+         evictions := !evictions + List.length !victims;
+         List.rev !victims
+       in
+       let agrees () =
+         List.filter (Bounded.mem c) bounded_keys
+         = List.sort String.compare (List.map fst !entries)
+         && Bounded.length c = List.length !entries
+         && Bounded.weight c = held ()
+         && Bounded.evictions c = !evictions
+         && Bounded.budget c = !budget
+       in
+       List.for_all
+         (fun op ->
+            let ok =
+              match op with
+              | Add (k, v) ->
+                let key = Printf.sprintf "k%d" k in
+                let victims =
+                  if List.mem_assoc key !entries then []   (* first writer wins *)
+                  else begin
+                    entries := (key, v) :: !entries;
+                    evict ()
+                  end
+                in
+                Bounded.add c key v = List.length victims
+                && Bounded.weight c <= Bounded.budget c
+                && List.for_all (fun k -> not (Bounded.mem c k)) victims
+              | Find k ->
+                let key = Printf.sprintf "k%d" k in
+                let expect = List.assoc_opt key !entries in
+                Option.iter
+                  (fun v ->
+                     entries := (key, v) :: List.remove_assoc key !entries)
+                  expect;
+                Bounded.find c key = expect
+              | Set_budget b ->
+                budget := b;
+                Bounded.set_budget c b = List.length (evict ())
+              | Clear ->
+                entries := [];
+                evictions := 0;
+                Bounded.clear c;
+                true
+            in
+            ok && agrees ())
+         ops)
+
+let test_bounded_oversized_entry_evicted () =
+  let c = Bounded.create ~weight:String.length ~budget:4 () in
+  Alcotest.(check int) "fits" 0 (Bounded.add c "a" "abc");
+  Alcotest.(check int) "heavier than the budget: evicts the older entry and \
+                        then itself" 2 (Bounded.add c "b" "abcdef");
+  Alcotest.(check int) "nothing resident" 0 (Bounded.length c);
+  Alcotest.(check int) "no weight held" 0 (Bounded.weight c);
+  Alcotest.(check int) "zero budget evicts everything" 1
+    (ignore (Bounded.add c "c" "x"); Bounded.set_budget c 0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_median_bounds; prop_outlier_subset; prop_percentile_monotone ]
@@ -421,4 +529,8 @@ let () =
            test_clock_clamps_backward_steps;
          Alcotest.test_case "elapsed never negative" `Quick
            test_clock_elapsed_never_negative ]);
+      ("bounded",
+       [ Alcotest.test_case "oversized entry evicted" `Quick
+           test_bounded_oversized_entry_evicted;
+         QCheck_alcotest.to_alcotest prop_bounded_matches_model ]);
       ("stats-properties", qcheck_cases) ]
