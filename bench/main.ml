@@ -197,6 +197,15 @@ let time_ns ~iters f =
   for _ = 1 to iters do f () done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
+(* [let grown = counters_since () in ...; grown name] is how much counter
+   [name] grew in between: counters always count, so a bench reads deltas
+   and leaves the registry (and any --trace/--metrics run) alone. *)
+let counters_since () =
+  let base = Repro_util.Trace.counters () in
+  fun name ->
+    Repro_util.Trace.counter_value name
+    - Option.value ~default:0 (List.assoc_opt name base)
+
 (* ------------------------ replay micro-benchmark -------------------- *)
 
 (* Quantifies the CoW-template replay path against the legacy
@@ -208,7 +217,6 @@ let replay_bench () =
   let module Snapshot = Repro_capture.Snapshot in
   let module Replay = Repro_capture.Replay in
   let module Verify = Repro_capture.Verify in
-  let module Trace = Repro_util.Trace in
   let app = Option.get (Repro_apps.Registry.find "FFT") in
   let dx = Repro_apps.Registry.dexfile app in
   let mids =
@@ -242,17 +250,15 @@ let replay_bench () =
   let clone_build () = Mem.drop (Mem.clone template) in
   let legacy_ns = time_ns ~iters:40 legacy_build in
   let clone_ns = time_ns ~iters:2000 clone_build in
-  (* dirty-page accounting for one replay, via the trace counters *)
-  Trace.enable ();
-  Trace.reset ();
+  (* dirty-page accounting for one replay, via the counter registry *)
+  let grown = counters_since () in
   let r = Replay.run dx snap Replay.Interpreter in
   let ctx = r.Repro_capture.Replay.ctx in
-  let cloned_refs = Trace.counter_value "mem.clone_pages" in
-  let cow_pages = Trace.counter_value "mem.cow_pages" in
-  let scanned0 = Trace.counter_value "verify.pages_scanned" in
+  let cloned_refs = grown "mem.clone_pages" in
+  let cow_pages = grown "mem.cow_pages" in
+  let scanned = counters_since () in
   ignore (Verify.diff_against_snapshot ctx snap);
-  let pages_scanned_dirty = Trace.counter_value "verify.pages_scanned" - scanned0 in
-  Trace.disable ();
+  let pages_scanned_dirty = scanned "verify.pages_scanned" in
   let mem = ctx.Repro_vm.Exec_ctx.mem in
   let pages_scanned_full =
     List.length (Mem.touched_pages mem ~kind:Mem.Rheap)
@@ -587,7 +593,6 @@ let exec_bench () =
   let module Replay = Repro_capture.Replay in
   let module Blockexec = Repro_lir.Blockexec in
   let module Blockplan = Repro_lir.Blockplan in
-  let module Trace = Repro_util.Trace in
   let module P = Repro_core.Pipeline in
   let app = Option.get (Repro_apps.Registry.find "FFT") in
   let dx = Repro_apps.Registry.dexfile app in
@@ -629,18 +634,15 @@ let exec_bench () =
     workloads;
   (* fusion/hoisting/caching statistics: one cold pass builds the plans,
      a second pass must be served from the digest-keyed cache *)
-  Trace.enable ();
-  Trace.reset ();
   Blockplan.reset_cache ();
+  let grown = counters_since () in
   List.iter (fun (_, v) -> ignore (run Blockexec.Fused v)) workloads;
   List.iter (fun (_, v) -> ignore (run Blockexec.Fused v)) workloads;
-  let blocks_formed = Trace.counter_value "blockexec.blocks_formed" in
-  let ops_fused = Trace.counter_value "blockexec.ops_fused" in
-  let checks_hoisted = Trace.counter_value "blockexec.checks_hoisted" in
-  let plan_builds = Trace.counter_value "blockexec.plan_builds" in
-  let plan_cache_hits = Trace.counter_value "blockexec.plan_cache_hits" in
-  Trace.reset ();
-  Trace.disable ();
+  let blocks_formed = grown "blockexec.blocks_formed" in
+  let ops_fused = grown "blockexec.ops_fused" in
+  let checks_hoisted = grown "blockexec.checks_hoisted" in
+  let plan_builds = grown "blockexec.plan_builds" in
+  let plan_cache_hits = grown "blockexec.plan_cache_hits" in
   (* wall-clock, tracing off (plans warm for both engines) *)
   let timed =
     List.map

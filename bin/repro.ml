@@ -121,7 +121,7 @@ let with_trace trace metrics f =
   in
   Fun.protect ~finally:finish f
 
-(* Cache/worker report for commands that run evaluation pools, plus the
+(* Cache report for commands that run evaluation pools, plus the
    staged-compilation cache totals right beside it. *)
 let print_pool_report () =
   Repro_search.Evalpool.print_stats (Repro_search.Evalpool.cumulative_stats ());

@@ -98,6 +98,19 @@ let inject_loader_faults ~key mem (snap : Snapshot.t) =
     end
   end
 
+(* A storage failure as a verdict reason.  [Storage.describe] starts with
+   the blob label, and a capture's label carries its process-wide serial
+   ([Snapshot.program_label] is "APP#n/capture").  The reason reaches the
+   search history, so it names the app instead: a history digest must not
+   depend on how many captures ran earlier in the process. *)
+let storage_reason (snap : Snapshot.t) e =
+  let msg = Storage.describe e and label = Snapshot.program_label snap in
+  let n = String.length label in
+  if String.starts_with ~prefix:label msg then
+    Printf.sprintf "storage: %s/capture%s" snap.Snapshot.snap_app
+      (String.sub msg n (String.length msg - n))
+  else "storage: " ^ msg
+
 (* Storage faults: the loader's read of the snapshot blob from the device
    store comes back damaged — one stored page truncated (partial flash
    write) or with a byte flipped (media corruption).  The damage goes
@@ -120,7 +133,7 @@ let inject_store_faults ~key (snap : Snapshot.t) =
           | Ok _ -> None (* blob empty: nothing to damage *)
           | Error e ->
             Faults.record point;
-            Some ("storage: " ^ Storage.describe e)
+            Some (storage_reason snap e)
       in
       let npages = max 1 (List.length snap.Snapshot.snap_pages) in
       let truncate =
@@ -186,7 +199,7 @@ let run ?(fuel = default_fuel) ?cost ?engine ?record_vcall ?faults_key
     match Mem.clone (Snapshot.template snap) with
     | mem -> mem
     | exception Storage.Integrity e ->
-      storage_broken := Some ("storage: " ^ Storage.describe e);
+      storage_broken := Some (storage_reason snap e);
       Trace.incr "replay.storage_failures";
       let mem = Mem.create () in
       List.iter

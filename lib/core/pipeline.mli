@@ -252,7 +252,7 @@ type optimized = {
   best_genome : Repro_search.Genome.t option;
   best_fitness : float option;              (** after the hill climb *)
   best_binary : Repro_lir.Binary.t option;  (** verified best, if any *)
-  pool_stats : Repro_search.Evalpool.stats; (** cache/worker counters *)
+  pool_stats : Repro_search.Evalpool.stats; (** the pool's cache counters *)
 }
 
 val search_digest : optimized -> string

@@ -27,9 +27,10 @@ type stats = {
   frontend_funcs : int;
 }
 
-(* Everything below the mutex: the bounded table and the counters.  A
-   single lock is fine — each operation is O(prefix length) at worst and
-   the per-operation work it guards is tiny next to running a pass. *)
+(* Everything below the mutex: the bounded table and the longest reused
+   prefix.  A single lock is fine — each operation is O(prefix length) at
+   worst and the per-operation work it guards is tiny next to running a
+   pass.  Counts live in the cache's own Trace scope. *)
 let lock = Mutex.create ()
 let enabled_flag = ref true
 
@@ -46,15 +47,11 @@ let slot_bytes entry =
 let table : entry Bounded.t =
   Bounded.create ~weight:slot_bytes ~budget:(256 * 1024 * 1024) ()
 
-let c_prefix_hits = ref 0
-let c_prefix_misses = ref 0
-let c_binary_hits = ref 0
-let c_binary_misses = ref 0
-let c_genes_reused = ref 0
-let c_genes_run = ref 0
-let c_longest = ref 0
-let c_inserts = ref 0
-let c_frontend_funcs = ref 0
+let metrics = Trace.scope ()
+let count name n = Trace.add ~scope:metrics name n
+
+(* a maximum, not a count, so not a counter *)
+let longest = ref 0
 
 let locked f =
   Mutex.lock lock;
@@ -66,7 +63,7 @@ let capacity_bytes () = locked (fun () -> Bounded.budget table)
 
 let key ~frontend ~mid fp = Printf.sprintf "%s|%d|%s" frontend mid fp
 
-let note_evictions n = if n > 0 then Trace.add "stagecache.evictions" n
+let note_evictions n = if n > 0 then count "stagecache.evictions" n
 
 let set_capacity_bytes n =
   locked (fun () -> note_evictions (Bounded.set_budget table (max 0 n)))
@@ -94,15 +91,12 @@ let lookup ~frontend ~mid ~fps =
         in
         match probe (Array.length fps) with
         | Some (k, e) ->
-          incr c_prefix_hits;
-          c_genes_reused := !c_genes_reused + k;
-          if k > !c_longest then c_longest := k;
-          Trace.incr "stagecache.prefix_hits";
-          Trace.add "stagecache.genes_reused" k;
+          if k > !longest then longest := k;
+          count "stagecache.prefix_hits" 1;
+          count "stagecache.genes_reused" k;
           Some (k, e)
         | None ->
-          incr c_prefix_misses;
-          Trace.incr "stagecache.prefix_misses";
+          count "stagecache.prefix_misses" 1;
           None
       end)
 
@@ -110,53 +104,39 @@ let insert ~frontend ~mid ~fp entry =
   locked (fun () ->
       let k = key ~frontend ~mid fp in
       if !enabled_flag && not (Bounded.mem table k) then begin
-        incr c_inserts;
-        Trace.incr "stagecache.inserts";
-        note_evictions (Bounded.add table k entry);
-        Trace.gauge "stagecache.bytes_held"
-          (float_of_int (Bounded.weight table))
+        count "stagecache.inserts" 1;
+        note_evictions (Bounded.add table k entry)
       end)
 
 let note_compile ~hit =
-  locked (fun () -> incr (if hit then c_binary_hits else c_binary_misses));
-  Trace.incr
-    (if hit then "stagecache.binary_hits" else "stagecache.binary_misses")
+  count
+    (if hit then "stagecache.binary_hits" else "stagecache.binary_misses") 1
 
-let note_gene_run () =
-  locked (fun () -> incr c_genes_run);
-  Trace.incr "stagecache.genes_run"
+let note_gene_run () = count "stagecache.genes_run" 1
 
-let note_frontend_func () =
-  locked (fun () -> incr c_frontend_funcs);
-  Trace.incr "stagecache.frontend_funcs"
+let note_frontend_func () = count "stagecache.frontend_funcs" 1
 
 let stats () =
+  let v name = Trace.counter_value ~scope:metrics name in
   locked (fun () ->
-      { prefix_hits = !c_prefix_hits;
-        prefix_misses = !c_prefix_misses;
-        binary_hits = !c_binary_hits;
-        binary_misses = !c_binary_misses;
-        genes_reused = !c_genes_reused;
-        genes_run = !c_genes_run;
-        longest_prefix = !c_longest;
-        inserts = !c_inserts;
+      { prefix_hits = v "stagecache.prefix_hits";
+        prefix_misses = v "stagecache.prefix_misses";
+        binary_hits = v "stagecache.binary_hits";
+        binary_misses = v "stagecache.binary_misses";
+        genes_reused = v "stagecache.genes_reused";
+        genes_run = v "stagecache.genes_run";
+        longest_prefix = !longest;
+        inserts = v "stagecache.inserts";
         evictions = Bounded.evictions table;
         entries = Bounded.length table;
         bytes_held = Bounded.weight table;
-        frontend_funcs = !c_frontend_funcs })
+        frontend_funcs = v "stagecache.frontend_funcs" })
 
 let reset () =
   locked (fun () ->
       Bounded.clear table;
-      c_prefix_hits := 0;
-      c_prefix_misses := 0;
-      c_binary_hits := 0;
-      c_binary_misses := 0;
-      c_genes_reused := 0;
-      c_genes_run := 0;
-      c_longest := 0;
-      c_inserts := 0;
-      c_frontend_funcs := 0)
+      Trace.reset_scope metrics;
+      longest := 0)
 
 let print_stats ?(label = "stage cache") s =
   let total = s.prefix_hits + s.prefix_misses in

@@ -28,8 +28,9 @@
     mutex, shared by all Evalpool worker domains; cached funcs are never
     mutated after insertion (the compiler copies before materializing a
     binary from them).  Residency is bounded by a {!Repro_util.Bounded}
-    byte budget with eviction counters.  All counters are mirrored as
-    [stagecache.*] trace counters when tracing is enabled. *)
+    byte budget.  The counts behind {!stats} are [stagecache.*] counters
+    in the cache's own {!Repro_util.Trace.scope}, so they also show in the
+    process counter set. *)
 
 type entry = {
   sc_func : Repro_hgraph.Hir.func;
@@ -98,8 +99,9 @@ type stats = {
 
 val stats : unit -> stats
 val reset : unit -> unit
-(** Drop all entries and zero the counters (between independent runs and
-    tests). *)
+(** Drop all entries and zero the cache's counter scope (between
+    independent runs and tests).  The process counters keep their
+    values. *)
 
 val print_stats : ?label:string -> stats -> unit
 (** Human-readable end-of-run report, printed alongside the Evalpool cache

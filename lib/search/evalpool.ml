@@ -19,18 +19,11 @@
 
    Tracing: each batch is a span on the calling domain and each worker
    wraps its work loop in a span on its own domain, so an exported trace
-   shows the real parallelism (distinct tids) and the cache short-circuits
-   (counters). *)
+   shows the real parallelism (distinct tids) and per-worker busy time.
+   Counts live in the pool's own Trace scope. *)
 
 module Trace = Repro_util.Trace
-module Clock = Repro_util.Clock
 module Bounded = Repro_util.Bounded
-
-type worker = {
-  w_id : int;
-  w_tasks : int;
-  w_busy_s : float;
-}
 
 type stats = {
   batches : int;
@@ -41,59 +34,7 @@ type stats = {
   compiles : int;
   verifies : int;
   evictions : int;
-  workers : worker list;
 }
-
-type counters = {
-  mutable c_batches : int;
-  mutable c_tasks : int;
-  mutable c_genome_hits : int;
-  mutable c_genome_misses : int;
-  mutable c_key_hits : int;
-  mutable c_compiles : int;
-  mutable c_verifies : int;
-  mutable c_evictions : int;
-  c_workers : (int, (int * float) ref) Hashtbl.t;  (* id -> tasks, busy *)
-}
-
-let fresh_counters () = {
-  c_batches = 0; c_tasks = 0; c_genome_hits = 0; c_genome_misses = 0;
-  c_key_hits = 0; c_compiles = 0; c_verifies = 0; c_evictions = 0;
-  c_workers = Hashtbl.create 8;
-}
-
-(* Process-wide totals, updated from the calling domain only. *)
-let cumulative = fresh_counters ()
-
-let snapshot c = {
-  batches = c.c_batches;
-  tasks = c.c_tasks;
-  genome_hits = c.c_genome_hits;
-  genome_misses = c.c_genome_misses;
-  key_hits = c.c_key_hits;
-  compiles = c.c_compiles;
-  verifies = c.c_verifies;
-  evictions = c.c_evictions;
-  workers =
-    Hashtbl.fold
-      (fun id r acc ->
-         let t, b = !r in
-         { w_id = id; w_tasks = t; w_busy_s = b } :: acc)
-      c.c_workers []
-    |> List.sort (fun a b -> Int.compare a.w_id b.w_id);
-}
-
-let record_worker c (id, tasks, busy) =
-  let r =
-    match Hashtbl.find_opt c.c_workers id with
-    | Some r -> r
-    | None ->
-      let r = ref (0, 0.0) in
-      Hashtbl.add c.c_workers id r;
-      r
-  in
-  let t, b = !r in
-  r := (t + tasks, b +. busy)
 
 type ('bin, 'core, 'out) t = {
   cache : bool;
@@ -105,7 +46,7 @@ type ('bin, 'core, 'out) t = {
   finish : ev_index:int -> 'core -> 'out;
   genome_cache : 'core Bounded.t;
   key_cache : 'core Bounded.t;
-  ctr : counters;
+  metrics : Trace.scope;
 }
 
 (* Bounded for a long-lived server, but comfortably above what one search
@@ -119,35 +60,37 @@ let create ?(cache = true) ?(memo_budget = default_memo_budget) ~pool
   { cache; pool; canon; compile; key_of; verify; finish;
     genome_cache = Bounded.create ~budget:memo_budget ();
     key_cache = Bounded.create ~budget:memo_budget ();
-    ctr = fresh_counters () }
+    metrics = Trace.scope () }
 
-let stats t =
-  { (snapshot t.ctr) with
-    evictions = Bounded.evictions t.genome_cache + Bounded.evictions t.key_cache }
+(* Every event is one bump of the pool's scope, which also lands in the
+   process set, so [stats] and [cumulative_stats] are the same view over
+   two counter sets. *)
+let count t name n = Trace.add ~scope:t.metrics name n
 
-let cumulative_stats () = snapshot cumulative
-let reset_cumulative () =
-  let c = cumulative in
-  c.c_batches <- 0; c.c_tasks <- 0; c.c_genome_hits <- 0;
-  c.c_genome_misses <- 0; c.c_key_hits <- 0; c.c_compiles <- 0;
-  c.c_verifies <- 0; c.c_evictions <- 0;
-  Hashtbl.reset c.c_workers
+let read ?scope () =
+  let v name = Trace.counter_value ?scope name in
+  { batches = v "evalpool.batches";
+    tasks = v "evalpool.tasks";
+    genome_hits = v "evalpool.genome_hits";
+    genome_misses = v "evalpool.genome_misses";
+    key_hits = v "evalpool.key_hits";
+    compiles = v "evalpool.compiles";
+    verifies = v "evalpool.verifies";
+    evictions = v "evalpool.memo_evictions" }
+
+let stats t = read ~scope:t.metrics ()
+let cumulative_stats () = read ()
 
 (* ------------------------------- memos ------------------------------- *)
 
-(* Per-pool evictions are read from the two tables; the process-wide
-   total is accumulated here. *)
-let memo_add tbl key core =
+let memo_add t tbl key core =
   let n = Bounded.add tbl key core in
-  if n > 0 then begin
-    cumulative.c_evictions <- cumulative.c_evictions + n;
-    Trace.add "evalpool.memo_evictions" n
-  end
+  if n > 0 then count t "evalpool.memo_evictions" n
 
 let seed_caches t ~genomes ~keys =
   if t.cache then begin
-    List.iter (fun (c, core) -> memo_add t.genome_cache c core) genomes;
-    List.iter (fun (k, core) -> memo_add t.key_cache k core) keys
+    List.iter (fun (c, core) -> memo_add t t.genome_cache c core) genomes;
+    List.iter (fun (k, core) -> memo_add t t.key_cache k core) keys
   end
 
 (* Run [f] over [arr] on every worker of the pool (the calling domain
@@ -165,30 +108,19 @@ let parallel_map t f arr =
         ~args:[ ("worker", string_of_int wid) ]
         "evalpool:worker"
       @@ fun () ->
-      let t0 = Clock.now () in
-      let count = ref 0 in
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           out.(i) <- Some (f arr.(i));
-          incr count;
           loop ()
         end
       in
-      loop ();
-      (wid, !count, Clock.elapsed t0)
+      loop ()
     in
-    let slots = Array.make (Domainpool.size t.pool) None in
+    let failures = Array.make (Domainpool.size t.pool) None in
     Domainpool.run t.pool (fun wid ->
-        slots.(wid) <- Some (try Ok (worker wid) with e -> Error e));
-    Array.iter
-      (function
-        | Some (Ok w) ->
-          record_worker t.ctr w;
-          record_worker cumulative w
-        | Some (Error _) | None -> ())
-      slots;
-    Array.iter (function Some (Error e) -> raise e | _ -> ()) slots;
+        try worker wid with e -> failures.(wid) <- Some e);
+    Array.iter (Option.iter raise) failures;
     Array.map (function Some v -> v | None -> assert false) out
   end
 
@@ -198,24 +130,8 @@ let evaluate_batch t tasks =
     "evalpool:batch"
   @@ fun () ->
   let n = Array.length tasks in
-  t.ctr.c_batches <- t.ctr.c_batches + 1;
-  t.ctr.c_tasks <- t.ctr.c_tasks + n;
-  cumulative.c_batches <- cumulative.c_batches + 1;
-  cumulative.c_tasks <- cumulative.c_tasks + n;
-  Trace.incr "evalpool.batches";
-  Trace.add "evalpool.tasks" n;
-  let bump_hit () =
-    t.ctr.c_genome_hits <- t.ctr.c_genome_hits + 1;
-    cumulative.c_genome_hits <- cumulative.c_genome_hits + 1;
-    Trace.incr "evalpool.genome_hits"
-  and bump_miss () =
-    t.ctr.c_genome_misses <- t.ctr.c_genome_misses + 1;
-    cumulative.c_genome_misses <- cumulative.c_genome_misses + 1
-  and bump_key_hit () =
-    t.ctr.c_key_hits <- t.ctr.c_key_hits + 1;
-    cumulative.c_key_hits <- cumulative.c_key_hits + 1;
-    Trace.incr "evalpool.key_hits"
-  in
+  count t "evalpool.batches" 1;
+  count t "evalpool.tasks" n;
   let canons = Array.map (fun (_, g) -> t.canon g) tasks in
   let cores : 'core option array = Array.make n None in
   (* Stage 0 (calling domain): genome-memo lookups and in-batch dedup.
@@ -229,22 +145,21 @@ let evaluate_batch t tasks =
        match if t.cache then Bounded.find t.genome_cache c else None with
        | Some core ->
          cores.(i) <- Some core;
-         bump_hit ()
+         count t "evalpool.genome_hits" 1
        | None ->
-         if t.cache && Hashtbl.mem seen_in_batch c then bump_hit ()
+         if t.cache && Hashtbl.mem seen_in_batch c then
+           count t "evalpool.genome_hits" 1
          else begin
            if t.cache then Hashtbl.add seen_in_batch c ();
            rep_rev := i :: !rep_rev;
-           bump_miss ()
+           count t "evalpool.genome_misses" 1
          end)
     tasks;
   let reps = Array.of_list (List.rev !rep_rev) in
   let nrep = Array.length reps in
   (* Stage A (parallel): compile the representative genomes. *)
   let compiled = parallel_map t (fun i -> t.compile (snd tasks.(i))) reps in
-  t.ctr.c_compiles <- t.ctr.c_compiles + nrep;
-  cumulative.c_compiles <- cumulative.c_compiles + nrep;
-  Trace.add "evalpool.compiles" nrep;
+  count t "evalpool.compiles" nrep;
   let rep_core : 'core option array = Array.make nrep None in
   let rep_bin : ('bin * string) option array = Array.make nrep None in
   Array.iteri
@@ -265,9 +180,10 @@ let evaluate_batch t tasks =
          (match if t.cache then Bounded.find t.key_cache key else None with
           | Some core ->
             rep_core.(k) <- Some core;
-            bump_key_hit ()
+            count t "evalpool.key_hits" 1
           | None ->
-            if t.cache && Hashtbl.mem key_owner key then bump_key_hit ()
+            if t.cache && Hashtbl.mem key_owner key then
+              count t "evalpool.key_hits" 1
             else begin
               if t.cache then Hashtbl.add key_owner key k;
               verify_rev := k :: !verify_rev
@@ -283,9 +199,7 @@ let evaluate_batch t tasks =
          | None -> assert false)
       vreps
   in
-  t.ctr.c_verifies <- t.ctr.c_verifies + Array.length vreps;
-  cumulative.c_verifies <- cumulative.c_verifies + Array.length vreps;
-  Trace.add "evalpool.verifies" (Array.length vreps);
+  count t "evalpool.verifies" (Array.length vreps);
   Array.iteri (fun j k -> rep_core.(k) <- Some verified.(j)) vreps;
   (* Fill same-key siblings and the key memo. *)
   Array.iteri
@@ -301,7 +215,7 @@ let evaluate_batch t tasks =
     Array.iteri
       (fun k bin ->
          match bin, rep_core.(k) with
-         | Some (_, key), Some core -> memo_add t.key_cache key core
+         | Some (_, key), Some core -> memo_add t t.key_cache key core
          | _, _ -> ())
       rep_bin;
   (* Publish representative results into an in-batch table first (and the
@@ -315,7 +229,7 @@ let evaluate_batch t tasks =
        in
        cores.(i) <- Some core;
        Hashtbl.replace batch_results canons.(i) core;
-       if t.cache then memo_add t.genome_cache canons.(i) core)
+       if t.cache then memo_add t t.genome_cache canons.(i) core)
     reps;
   Array.mapi
     (fun i (ev_index, _) ->
@@ -335,9 +249,4 @@ let print_stats ?(label = "evalpool") s =
      binary-key reuse %d | %d compiles, %d verified replays | %d memo \
      evictions\n"
     label s.tasks s.batches s.genome_hits s.genome_misses s.key_hits
-    s.compiles s.verifies s.evictions;
-  List.iter
-    (fun w ->
-       Printf.printf "  worker %d: %d stage tasks, %.3f s busy\n"
-         w.w_id w.w_tasks w.w_busy_s)
-    s.workers
+    s.compiles s.verifies s.evictions

@@ -30,12 +30,6 @@
     would be a slow leak; eviction merely forces a deterministic
     recomputation and can never change an outcome. *)
 
-type worker = {
-  w_id : int;
-  w_tasks : int;          (** stage executions run by this worker *)
-  w_busy_s : float;       (** monotonic seconds spent inside stages *)
-}
-
 type stats = {
   batches : int;
   tasks : int;            (** evaluations requested *)
@@ -45,8 +39,10 @@ type stats = {
   compiles : int;
   verifies : int;
   evictions : int;        (** memo entries dropped by the LRU budget *)
-  workers : worker list;  (** sorted by id; busy time is cumulative *)
 }
+(** Each field is an [evalpool.*] counter of {!Repro_util.Trace} ([evictions]
+    is [evalpool.memo_evictions]).  Per-worker busy time is not a count:
+    the [evalpool:worker] spans record it. *)
 
 type ('bin, 'core, 'out) t
 
@@ -89,14 +85,12 @@ val seed_caches :
     when the cache is disabled; entries respect the LRU budget. *)
 
 val stats : _ t -> stats
-(** Snapshot of this pool's counters. *)
+(** This pool's counters: a view of its own {!Repro_util.Trace.scope}. *)
 
 val cumulative_stats : unit -> stats
-(** Process-wide totals across every pool created so far (for end-of-run
-    reports in the CLI and benchmark harness). *)
-
-val reset_cumulative : unit -> unit
-(** Zero the process-wide totals (between independent runs/tests). *)
+(** Process-wide totals across every pool created since the last
+    {!Repro_util.Trace.reset} (for end-of-run reports in the CLI and
+    benchmark harness): a view of the process counters. *)
 
 val print_stats : ?label:string -> stats -> unit
-(** Human-readable cache and per-worker timing report on stdout. *)
+(** Human-readable one-line cache report on stdout. *)

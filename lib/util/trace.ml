@@ -1,8 +1,8 @@
 (* Structured tracing/metrics.  Design: a global enabled flag read with one
-   atomic load per probe; per-domain event buffers (domain-local storage,
+   atomic load per span; per-domain event buffers (domain-local storage,
    single writer each) registered in a mutex-protected list so the main
-   domain can merge them after workers are joined; shared counters/gauges
-   behind the same mutex. *)
+   domain can merge them after workers are joined; counters — the process
+   set and every scope — behind the same mutex, always counting. *)
 
 type phase = B | E
 
@@ -33,8 +33,12 @@ type buffer = {
 
 let lock = Mutex.create ()
 let registry : buffer list ref = ref []
-let counter_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
-let gauge_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 16
+
+(* A scope is just another counter table.  Nothing holds on to it but its
+   owner, so it is freed with that owner. *)
+type scope = (string, int ref) Hashtbl.t
+
+let counter_tbl : scope = Hashtbl.create 32
 
 let buffer_key =
   Domain.DLS.new_key (fun () ->
@@ -66,27 +70,27 @@ let span ?(cat = "repro") ?(args = []) name f =
       raise e
   end
 
-let add name n =
-  if Atomic.get enabled_flag then
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt counter_tbl name with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.add counter_tbl name (ref n))
+let scope () : scope = Hashtbl.create 16
 
-let incr name = add name 1
+let bump tbl name n =
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.add tbl name (ref n)
 
-let gauge name v =
-  if Atomic.get enabled_flag then
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt gauge_tbl name with
-        | Some r -> r := v
-        | None -> Hashtbl.add gauge_tbl name (ref v))
-
-let counter_value name =
+let add ?scope name n =
   Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt counter_tbl name with
+      bump counter_tbl name n;
+      Option.iter (fun s -> bump s name n) scope)
+
+let incr ?scope name = add ?scope name 1
+
+let counter_value ?(scope = counter_tbl) name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt scope name with
       | Some r -> !r
       | None -> 0)
+
+let reset_scope s = Mutex.protect lock (fun () -> Hashtbl.reset s)
 
 let enable () =
   if Atomic.get t0 = 0.0 then Atomic.set t0 (!clock ());
@@ -99,8 +103,7 @@ let set_clock f = clock := f
 let reset () =
   Mutex.protect lock (fun () ->
       List.iter (fun b -> b.b_rev <- []; b.b_seq <- 0) !registry;
-      Hashtbl.reset counter_tbl;
-      Hashtbl.reset gauge_tbl);
+      Hashtbl.reset counter_tbl);
   Atomic.set t0 (!clock ())
 
 let events () =
@@ -114,13 +117,10 @@ let events () =
             | c -> c)
          | c -> c)
 
-let sorted_tbl tbl =
+let counters () =
   Mutex.protect lock (fun () ->
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [])
+      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counter_tbl [])
   |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
-
-let counters () = sorted_tbl counter_tbl
-let gauges () = sorted_tbl gauge_tbl
 
 (* ------------------------- Chrome exporter -------------------------- *)
 
@@ -177,7 +177,7 @@ let add_counter_event buf ~ts name value =
   Buffer.add_string buf "\",\"ph\":\"C\",\"ts\":";
   Buffer.add_string buf (fmt_ts ts);
   Buffer.add_string buf ",\"pid\":1,\"tid\":0,\"args\":{\"value\":";
-  Buffer.add_string buf value;
+  Buffer.add_string buf (string_of_int value);
   Buffer.add_string buf "}}"
 
 let to_chrome_json () =
@@ -190,18 +190,13 @@ let to_chrome_json () =
     Buffer.add_char buf '\n'
   in
   List.iter (fun ev -> sep (); add_span_event buf ev) evs;
-  (* counters/gauges are aggregates: one sample each at the trace's end *)
+  (* counters are aggregates: one sample each at the trace's end *)
   let end_ts = List.fold_left (fun acc ev -> max acc ev.ev_ts) 0.0 evs in
   List.iter
     (fun (name, v) ->
        sep ();
-       add_counter_event buf ~ts:end_ts name (string_of_int v))
+       add_counter_event buf ~ts:end_ts name v)
     (counters ());
-  List.iter
-    (fun (name, v) ->
-       sep ();
-       add_counter_event buf ~ts:end_ts name (Printf.sprintf "%g" v))
-    (gauges ());
   Buffer.add_string buf "\n]}";
   Buffer.contents buf
 
@@ -269,12 +264,6 @@ let summary () =
     sections :=
       Table.render ~header:[ "counter"; "value" ]
         (List.map (fun (k, v) -> [ k; string_of_int v ]) cs)
-      :: !sections;
-  let gs = gauges () in
-  if gs <> [] then
-    sections :=
-      Table.render ~header:[ "gauge"; "value" ]
-        (List.map (fun (k, v) -> [ k; Printf.sprintf "%g" v ]) gs)
       :: !sections;
   match List.rev !sections with
   | [] -> "trace: nothing recorded"

@@ -349,6 +349,58 @@ let test_aborted_sessions_release_domains () =
     | exception Repro_core.Checkpoint.Injected_abort -> ()
   done
 
+(* ------------------------ stats are registry views ------------------- *)
+
+(* Each pool counts in its own Trace scope and every bump also lands in the
+   process set, so two pools keep separate stats and the cumulative view
+   is exactly their sum. *)
+let test_pools_keep_separate_stats () =
+  Trace.reset ();
+  let a, _, _ = counting_pool () in
+  let b, _, _ = counting_pool ~memo_budget:1 () in
+  ignore (Evalpool.evaluate_batch a [| (1, ga); (2, ga); (3, gb) |]);
+  ignore (Evalpool.evaluate_batch b [| (1, gb) |]);
+  ignore (Evalpool.evaluate_batch b [| (2, ga) |]);
+  let sa = Evalpool.stats a and sb = Evalpool.stats b in
+  Alcotest.(check (pair int int)) "tasks per pool" (3, 2)
+    (sa.Evalpool.tasks, sb.Evalpool.tasks);
+  Alcotest.(check (pair int int)) "batches per pool" (1, 2)
+    (sa.Evalpool.batches, sb.Evalpool.batches);
+  Alcotest.(check (pair int int)) "genome hits per pool" (1, 0)
+    (sa.Evalpool.genome_hits, sb.Evalpool.genome_hits);
+  Alcotest.(check (pair int int)) "evictions per pool" (0, 2)
+    (sa.Evalpool.evictions, sb.Evalpool.evictions);
+  let sum f = f sa + f sb in
+  let c = Evalpool.cumulative_stats () in
+  Alcotest.(check bool) "cumulative = a + b" true
+    (c
+     = { Evalpool.batches = sum (fun s -> s.Evalpool.batches);
+         tasks = sum (fun s -> s.Evalpool.tasks);
+         genome_hits = sum (fun s -> s.Evalpool.genome_hits);
+         genome_misses = sum (fun s -> s.Evalpool.genome_misses);
+         key_hits = sum (fun s -> s.Evalpool.key_hits);
+         compiles = sum (fun s -> s.Evalpool.compiles);
+         verifies = sum (fun s -> s.Evalpool.verifies);
+         evictions = sum (fun s -> s.Evalpool.evictions) })
+
+(* Counters always count, so a search reports the same pool stats whether
+   or not it was traced. *)
+let test_stats_independent_of_tracing () =
+  let app = Option.get (App.find "FFT") in
+  let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+  let run () =
+    let o = Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:2 app cap in
+    o.Pipeline.pool_stats
+  in
+  let untraced = run () in
+  Trace.enable ();
+  let traced =
+    Fun.protect ~finally:(fun () -> Trace.disable (); Trace.reset ()) run
+  in
+  Alcotest.(check bool) "stats traced = untraced" true (traced = untraced);
+  Alcotest.(check bool) "and the search did evaluate" true
+    (untraced.Evalpool.tasks > 0)
+
 let () =
   Alcotest.run "evalpool"
     [ ("determinism",
@@ -395,4 +447,9 @@ let () =
          Alcotest.test_case "shutdown idempotent" `Quick
            test_pool_shutdown_idempotent;
          Alcotest.test_case "size 1 runs inline" `Quick
-           test_pool_size1_runs_inline ]) ]
+           test_pool_size1_runs_inline ]);
+      ("metrics",
+       [ Alcotest.test_case "pools keep separate stats" `Quick
+           test_pools_keep_separate_stats;
+         Alcotest.test_case "stats independent of tracing" `Quick
+           test_stats_independent_of_tracing ]) ]

@@ -539,6 +539,44 @@ let test_corpus_optimize_deterministic () =
         co.Pipeline.co_entries)
     ()
 
+(* Store-fault reasons name the app, never the capture serial: the same
+   search run twice in one process, each time over a fresh capture (so the
+   second snapshot id carries a later serial), must produce the same
+   history digest under store-only faults. *)
+let test_store_fault_digest_capture_independent () =
+  clean (fun () ->
+    let app = Option.get (App.find "FFT") in
+    Snapshot.set_store (Some (Repro_os.Storage.create ()));
+    Fun.protect
+      ~finally:(fun () ->
+          Snapshot.set_store None;
+          Snapshot.invalidate_templates ())
+      (fun () ->
+         Faults.enable
+           (cfg ~seed:11 ~rate:0.2
+              ~only:[ Faults.Store_corrupt; Faults.Store_truncate ] ());
+         let run () =
+           let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+           let o = Pipeline.optimize ~seed:21 ~cfg:tiny_cfg ~jobs:1 app cap in
+           let reasons =
+             List.filter_map
+               (fun r ->
+                  match r.Ga.ev_outcome with
+                  | Ga.Runtime_crashed m | Ga.Quarantined m -> Some m
+                  | _ -> None)
+               o.Pipeline.ga.Ga.history
+           in
+           (Pipeline.search_digest o, reasons)
+         in
+         let d1, reasons = run () in
+         let d2, _ = run () in
+         Alcotest.(check bool) "a storage fault reached the history" true
+           (List.exists
+              (fun r -> Astring.String.is_infix ~affix:"storage:" r)
+              reasons);
+         Alcotest.(check string) "digest independent of capture serial" d1 d2))
+    ()
+
 (* --------------------------------------------------------------------- *)
 
 let () =
@@ -577,7 +615,9 @@ let () =
           Alcotest.test_case "store truncation caught" `Quick
             (check_store_point_caught Faults.Store_truncate);
           Alcotest.test_case "unscoped replay immune" `Quick
-            test_unscoped_replay_immune ] );
+            test_unscoped_replay_immune;
+          Alcotest.test_case "store-fault digest ignores capture serial"
+            `Quick test_store_fault_digest_capture_independent ] );
       ( "quarantine",
         [ Alcotest.test_case "retry forgives transients" `Quick
             test_retry_distinguishes_transient;

@@ -3,8 +3,9 @@
    - span nesting is well-formed (every B has a matching E, per-domain
      stack discipline), both for hand-written scenarios and qcheck-random
      span trees;
-   - counters sum correctly under concurrent increments from 4 domains;
-   - disabled tracing is a no-op;
+   - counters sum correctly under concurrent increments from 4 domains,
+     per scope and in the process set (qcheck over random bumps);
+   - disabled tracing records no spans, while counters still count;
    - a 4-domain Evalpool run produces a *parseable* merged Chrome trace
      with no interleaving corruption (checked with a small JSON parser);
    - the Chrome exporter's byte format is locked by a golden fixture
@@ -101,7 +102,7 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "span still runs the body" 7 v;
   Alcotest.(check (list reject)) "no events recorded"
     [] (Trace.events ());
-  Alcotest.(check int) "no counter recorded" 0
+  Alcotest.(check int) "counters count regardless" 1
     (Trace.counter_value "invisible.n");
   (try Trace.span "invisible" (fun () -> raise Exit) with Exit -> ());
   Alcotest.(check (list reject)) "still nothing" [] (Trace.events ())
@@ -180,6 +181,73 @@ let test_counters_sum_across_domains () =
   Alcotest.(check (list (pair string int))) "sorted counter listing"
     [ ("test.bulk", 17); ("test.hits", 5000) ]
     (Trace.counters ())
+
+(* Counters are not spans: they count whether or not tracing is on, and
+   [reset] zeroes the process set but leaves every scope alone. *)
+let test_counters_count_when_disabled () =
+  Trace.reset ();
+  Trace.disable ();
+  let s = Trace.scope () in
+  Trace.add ~scope:s "quiet.n" 3;
+  Trace.incr "quiet.n";
+  Alcotest.(check int) "process set" 4 (Trace.counter_value "quiet.n");
+  Alcotest.(check int) "scope" 3 (Trace.counter_value ~scope:s "quiet.n");
+  Alcotest.(check (list reject)) "still no events" [] (Trace.events ());
+  Trace.reset ();
+  Alcotest.(check int) "reset zeroes the process set" 0
+    (Trace.counter_value "quiet.n");
+  Alcotest.(check int) "reset keeps scopes" 3
+    (Trace.counter_value ~scope:s "quiet.n")
+
+(* Random bumps over 2-3 scopes plus unscoped ones, split across two
+   domains: each scope holds exactly its own bumps, the process set holds
+   all of them, and [reset_scope] zeroes one scope and nothing else. *)
+let prop_scoped_counters =
+  QCheck.Test.make ~name:"scoped counters sum per scope and in total"
+    ~count:50
+    QCheck.(
+      pair (int_range 2 3)
+        (list_of_size Gen.(int_bound 200)
+           (pair (option (int_bound 2)) (int_bound 100))))
+    (fun (nscopes, ops) ->
+       Trace.reset ();
+       let scopes = Array.init nscopes (fun _ -> Trace.scope ()) in
+       let ops =
+         List.map
+           (fun (s, n) -> (Option.map (fun i -> i mod nscopes) s, n))
+           ops
+       in
+       let run part =
+         List.iteri
+           (fun i (s, n) ->
+              if i mod 2 = part then
+                Trace.add ?scope:(Option.map (Array.get scopes) s) "prop.n" n)
+           ops
+       in
+       let other = Domain.spawn (fun () -> run 1) in
+       run 0;
+       Domain.join other;
+       let sum keep =
+         List.fold_left
+           (fun acc (s, n) -> if keep s then acc + n else acc)
+           0 ops
+       in
+       let total = sum (fun _ -> true) in
+       let scope_ok i =
+         Trace.counter_value ~scope:scopes.(i) "prop.n" = sum (( = ) (Some i))
+       in
+       let all_ok from =
+         List.for_all scope_ok (List.init (nscopes - from) (( + ) from))
+       in
+       let before = all_ok 0 && Trace.counter_value "prop.n" = total in
+       Trace.reset_scope scopes.(0);
+       let after =
+         Trace.counter_value ~scope:scopes.(0) "prop.n" = 0
+         && all_ok 1
+         && Trace.counter_value "prop.n" = total
+       in
+       Trace.reset ();
+       before && after)
 
 (* ----------------------- a minimal JSON parser ----------------------- *)
 
@@ -420,8 +488,7 @@ let golden_scenario () =
     (fun () ->
        Trace.span "inner\nline" (fun () ->
            Trace.incr "demo.count";
-           Trace.add "demo.count" 2;
-           Trace.gauge "demo.ratio" 0.5);
+           Trace.add "demo.count" 2);
        Trace.span "tab\tname" (fun () -> ()));
   Trace.incr "ctrl\x01name";
   let out = Trace.to_chrome_json () ^ "\n" in
@@ -527,7 +594,9 @@ let () =
          Alcotest.test_case "counters sum across domains" `Quick
            test_counters_sum_across_domains;
          Alcotest.test_case "evalpool -j 4 trace parses" `Quick
-           test_evalpool_trace_parses ]);
+           test_evalpool_trace_parses;
+         Alcotest.test_case "counters count when disabled" `Quick
+           test_counters_count_when_disabled ]);
       ("exporter",
        [ Alcotest.test_case "chrome golden fixture" `Quick
            test_chrome_golden ]);
@@ -535,4 +604,5 @@ let () =
        [ Alcotest.test_case "traced search deterministic" `Quick
            test_traced_search_deterministic ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_tree_well_formed ]) ]
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_tree_well_formed; prop_scoped_counters ]) ]
