@@ -54,7 +54,10 @@ let () =
         Compile.llvm_binary ~profile:(Typeprof.lookup typeprof) dx spec region
       with
       | binary ->
-        (match Verify.check dx cap.Pipeline.snapshot vmap binary with
+        (match
+           Verify.check dx cap.Pipeline.snapshot vmap
+             (Repro_lir.Blockexec.prepare binary)
+         with
          | Verify.Passed cycles -> Printf.sprintf "verified, %d cycles" cycles
          | Verify.Wrong_output -> "REJECTED: wrong output"
          | Verify.Crashed msg -> "REJECTED: crashed (" ^ msg ^ ")"
@@ -84,7 +87,7 @@ let () =
       | binary ->
         (match
            Verify.check lu_dx lu_cap.Pipeline.snapshot lu_env.Pipeline.vmap
-             binary
+             (Repro_lir.Blockexec.prepare binary)
          with
          | Verify.Passed cycles -> Printf.sprintf "verified, %d cycles" cycles
          | Verify.Wrong_output -> "REJECTED: wrong output"

@@ -30,7 +30,8 @@ let () =
     match Compile.llvm_binary ~profile dx spec env.Pipeline.region with
     | binary ->
       (match
-         Verify.check dx cap.Pipeline.snapshot env.Pipeline.vmap binary
+         Verify.check dx cap.Pipeline.snapshot env.Pipeline.vmap
+           (Repro_lir.Blockexec.prepare binary)
        with
        | Verify.Passed cycles -> Some cycles
        | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None)

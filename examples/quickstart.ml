@@ -94,9 +94,10 @@ let () =
     | Repro_capture.Replay.Hung -> print_endline "replay hung"
   in
   replay Repro_capture.Replay.Interpreter "interpreter:";
-  replay (Repro_capture.Replay.Android_code binary) "Android code:";
+  let compiled b = Repro_capture.Replay.Compiled (Repro_lir.Blockexec.prepare b) in
+  replay (compiled binary) "Android code:";
   replay
-    (Repro_capture.Replay.Optimized
+    (compiled
        (Repro_lir.Compile.llvm_binary dx
           (Repro_lir.Pipelines.o3 @ [ ("jni-to-intrinsic", [||]) ])
           [ kernel_mid ]))

@@ -4,14 +4,13 @@
     mappings recreated, captured pages placed at their original addresses
     (collisions with the loader's own range are placed via the break-free
     relocation step), allocator and GC accounting restored — and then jumps
-    into the hot region under one of three code versions: the original
-    Android-compiled code, the interpreter, or a candidate optimized
-    binary. *)
+    into the hot region under the interpreter or compiled code — the
+    original Android-compiled code or a candidate optimized binary. *)
 
 type code_version =
-  | Android_code of Repro_lir.Binary.t   (** the device's default code *)
-  | Interpreter                          (** reference semantics (§3.4) *)
-  | Optimized of Repro_lir.Binary.t      (** a candidate search binary *)
+  | Interpreter                        (** reference semantics (§3.4) *)
+  | Compiled of Repro_lir.Blockexec.code
+      (** a binary prepared for one engine by {!Repro_lir.Blockexec.prepare} *)
 
 type outcome =
   | Finished of Repro_vm.Value.t option * int   (** result, cycles *)
@@ -31,21 +30,19 @@ val loader_pages : int
 (** Size of the loader's range in pages. *)
 
 val run :
-  ?fuel:int -> ?cost:Repro_vm.Cost.model ->
-  ?engine:Repro_lir.Blockexec.engine ->
+  ?fuel:int ->
   ?record_vcall:(Typeprof.site -> int -> unit) ->
   ?faults_key:int ->
   Repro_dex.Bytecode.dexfile -> Snapshot.t -> code_version -> run
 (** Default fuel: 200M cycles (a replay that runs 100x longer than any
     sensible region is declared hung, like a watchdog would).
 
-    [engine] selects the executor for compiled code versions
-    ([Android_code]/[Optimized]): the per-instruction reference engine
-    ([Ref], {!Repro_lir.Exec}) or the block-fused engine ([Fused],
-    {!Repro_lir.Blockexec}).  Defaults to
-    [Repro_lir.Blockexec.default_engine ()].  The two are bit-identical in
-    every observable — results, cycles, memory, failure classification —
-    so the choice never affects figures, only wall-clock replay time.
+    A [Compiled] code runs on the engine it was prepared for: the
+    per-instruction reference engine ([Ref], {!Repro_lir.Exec}) or the
+    block-fused engine ([Fused], {!Repro_lir.Blockexec}).  The two are
+    bit-identical in every observable — results, cycles, memory, failure
+    classification — so the choice never affects figures, only wall-clock
+    replay time.  Replays always run under {!Repro_vm.Cost.default}.
 
     [faults_key] opts this replay into the fault-injection net
     ([Repro_util.Faults]): the replay runs inside a fault scope with that

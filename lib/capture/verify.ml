@@ -103,14 +103,23 @@ let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
     !rest = []
   with Mismatch -> false
 
-let collect dx snap =
-  let r = Replay.run dx snap Replay.Interpreter in
+type reference =
+  | Ref_map of t
+  | Ref_crash of string
+
+let collect_ref ?record_vcall dx snap =
+  let r = Replay.run ?record_vcall dx snap Replay.Interpreter in
   match r.Replay.outcome with
   | Replay.Finished (ret, _) ->
-    { writes = diff_against_snapshot r.Replay.ctx snap; ret }
-  | Replay.Crashed msg ->
+    Ref_map { writes = diff_against_snapshot r.Replay.ctx snap; ret }
+  | Replay.Crashed msg -> Ref_crash msg
+  | Replay.Hung -> failwith "Verify.collect_ref: interpreted replay hung"
+
+let collect ?record_vcall dx snap =
+  match collect_ref ?record_vcall dx snap with
+  | Ref_map m -> m
+  | Ref_crash msg ->
     failwith ("Verify.collect: interpreted replay crashed: " ^ msg)
-  | Replay.Hung -> failwith "Verify.collect: interpreted replay hung"
 
 type check_result =
   | Passed of int
@@ -124,61 +133,36 @@ let ret_equal a b =
   | Some a, Some b -> Value.equal a b
   | None, Some _ | Some _, None -> false
 
-let count_result result =
-  match result with
-  | Passed _ -> Trace.incr "verify.passed"
-  | Wrong_output | Crashed _ | Hung -> Trace.incr "verify.rejected"
-
-let check ?fuel ?faults_key dx snap reference binary =
-  Trace.span ~cat:"verify" "verify" @@ fun () ->
-  let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized binary) in
+(* When the reference itself traps on this input, a correct binary must
+   reproduce the exact trap; one that silently finishes read or wrote past
+   where the reference stopped — the guard-stripping signature — and is
+   Wrong_output.  Partial write sets at the trap are *not* compared: legal
+   optimizations may reorder stores ahead of the faulting access, and
+   killing those would be a false positive. *)
+let check_ref ?fuel ?faults_key dx snap reference code =
+  let span =
+    match reference with
+    | Ref_map _ -> "verify"
+    | Ref_crash _ -> "verify:crash-ref"
+  in
+  Trace.span ~cat:"verify" span @@ fun () ->
+  let r = Replay.run ?fuel ?faults_key dx snap (Replay.Compiled code) in
   let result =
-    match r.Replay.outcome with
-    | Replay.Crashed msg -> Crashed msg
-    | Replay.Hung -> Hung
-    | Replay.Finished (ret, cycles) ->
-      if
-        ret_equal ret reference.ret
-        && diff_matches r.Replay.ctx snap reference.writes
+    match reference, r.Replay.outcome with
+    | Ref_map m, Replay.Finished (ret, cycles) ->
+      if ret_equal ret m.ret && diff_matches r.Replay.ctx snap m.writes
       then Passed cycles
       else Wrong_output
+    | Ref_crash msg, Replay.Crashed m when String.equal m msg ->
+      Passed r.Replay.ctx.Ctx.cycles
+    | Ref_crash _, Replay.Finished _ -> Wrong_output
+    | _, Replay.Crashed m -> Crashed m
+    | _, Replay.Hung -> Hung
   in
-  count_result result;
+  (match result with
+   | Passed _ -> Trace.incr "verify.passed"
+   | Wrong_output | Crashed _ | Hung -> Trace.incr "verify.rejected");
   result
 
-(* ------------------------ corpus references ------------------------- *)
-
-type reference =
-  | Ref_map of t
-  | Ref_crash of string
-
-let collect_ref ?record_vcall dx snap =
-  let r = Replay.run ?record_vcall dx snap Replay.Interpreter in
-  match r.Replay.outcome with
-  | Replay.Finished (ret, _) ->
-    Ref_map { writes = diff_against_snapshot r.Replay.ctx snap; ret }
-  | Replay.Crashed msg -> Ref_crash msg
-  | Replay.Hung -> failwith "Verify.collect_ref: interpreted replay hung"
-
-let check_ref ?fuel ?faults_key dx snap reference binary =
-  match reference with
-  | Ref_map m -> check ?fuel ?faults_key dx snap m binary
-  | Ref_crash msg ->
-    (* The reference itself traps on this input.  A correct binary must
-       reproduce the exact trap; one that silently finishes read or wrote
-       past where the reference stopped — the guard-stripping signature —
-       and is Wrong_output.  Partial write sets at the trap are *not*
-       compared: legal optimizations may reorder stores ahead of the
-       faulting access, and killing those would be a false positive. *)
-    Trace.span ~cat:"verify" "verify:crash-ref" @@ fun () ->
-    let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized binary) in
-    let result =
-      match r.Replay.outcome with
-      | Replay.Crashed m when String.equal m msg ->
-        Passed r.Replay.ctx.Ctx.cycles
-      | Replay.Crashed m -> Crashed m
-      | Replay.Finished _ -> Wrong_output
-      | Replay.Hung -> Hung
-    in
-    count_result result;
-    result
+let check ?fuel ?faults_key dx snap map code =
+  check_ref ?fuel ?faults_key dx snap (Ref_map map) code

@@ -26,33 +26,6 @@ val diff_matches : Repro_vm.Exec_ctx.t -> Snapshot.t -> (int * int64) list -> bo
     [diff_against_snapshot ctx snap = writes] with an early exit on the
     first diverging word, without materializing the diff list. *)
 
-val collect : Repro_dex.Bytecode.dexfile -> Snapshot.t -> t
-(** Build the map through an interpreted replay.
-    @raise Failure if the interpreted replay itself fails (a capture bug). *)
-
-type check_result =
-  | Passed of int                 (** cycles of the verified replay *)
-  | Wrong_output                  (** write set or return value diverged *)
-  | Crashed of string             (** the candidate replay raised *)
-  | Hung                          (** the candidate replay exceeded its fuel *)
-
-val check :
-  ?fuel:int ->
-  ?faults_key:int ->
-  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t -> Repro_lir.Binary.t ->
-  check_result
-(** Replay the snapshot under a candidate binary and compare behaviour.
-    [fuel] bounds the replay's cycle budget before it is declared [Hung]
-    (default {!Replay.default_fuel}).
-
-    [faults_key] is forwarded to {!Replay.run}: it opts the candidate
-    replay (never the reference map) into the fault-injection net, which is
-    how the robustness tests prove that every injected replay/executor
-    fault surfaces as a non-[Passed] verdict.  Anything but [Passed] means
-    the binary must be discarded — under fault injection the pipeline
-    {e quarantines} it (fitness = worst) after a one-retry check that
-    separates transient replay faults from deterministic miscompiles. *)
-
 (** A cross-input verification reference: what the {e reference}
     (interpreted) execution of one captured input does.  Most inputs
     finish and yield a verification map; adversarial corpus inputs may
@@ -66,16 +39,48 @@ type reference =
 val collect_ref :
   ?record_vcall:(Typeprof.site -> int -> unit) ->
   Repro_dex.Bytecode.dexfile -> Snapshot.t -> reference
-(** Like {!collect}, but a reference trap is a legitimate [Ref_crash]
-    outcome rather than a capture bug.  [record_vcall] feeds the replay's
+(** Build the reference through an interpreted replay; a trap is a
+    legitimate [Ref_crash] outcome.  [record_vcall] feeds the replay's
     dispatch sites to a type profile, as in {!Repro_capture.Replay.run}.
     @raise Failure if the interpreted replay hangs. *)
+
+val collect :
+  ?record_vcall:(Typeprof.site -> int -> unit) ->
+  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t
+(** {!collect_ref} for an input whose reference must finish.
+    @raise Failure if the interpreted replay traps or hangs (a capture
+    bug). *)
+
+type check_result =
+  | Passed of int                 (** cycles of the verified replay *)
+  | Wrong_output                  (** write set or return value diverged *)
+  | Crashed of string             (** the candidate replay raised *)
+  | Hung                          (** the candidate replay exceeded its fuel *)
+
+val check :
+  ?fuel:int ->
+  ?faults_key:int ->
+  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t ->
+  Repro_lir.Blockexec.code -> check_result
+(** Replay the snapshot under a candidate binary, prepared by
+    {!Repro_lir.Blockexec.prepare}, and compare behaviour.  A caller that
+    checks one binary against several inputs prepares it once.
+    [fuel] bounds the replay's cycle budget before it is declared [Hung]
+    (default {!Replay.default_fuel}).
+
+    [faults_key] is forwarded to {!Replay.run}: it opts the candidate
+    replay (never the reference map) into the fault-injection net, which is
+    how the robustness tests prove that every injected replay/executor
+    fault surfaces as a non-[Passed] verdict.  Anything but [Passed] means
+    the binary must be discarded — under fault injection the pipeline
+    {e quarantines} it (fitness = worst) after a one-retry check that
+    separates transient replay faults from deterministic miscompiles. *)
 
 val check_ref :
   ?fuel:int ->
   ?faults_key:int ->
   Repro_dex.Bytecode.dexfile -> Snapshot.t -> reference ->
-  Repro_lir.Binary.t -> check_result
+  Repro_lir.Blockexec.code -> check_result
 (** {!check} against a corpus reference.  For a [Ref_map] this is exactly
     {!check}.  For a [Ref_crash] the candidate passes only when it traps
     with the identical message ([Passed] carries its replay cycles); a

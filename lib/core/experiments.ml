@@ -706,8 +706,9 @@ let survival_genomes () =
    first (K=1), then the corpus entries in order (entry i covers K=i+1).
    Counts every check it actually runs in [checks]. *)
 let killed_at env checks binary =
+  let code = Repro_lir.Blockexec.prepare binary in
   match Repro_capture.Verify.check env.Pipeline.dx
-          env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap binary
+          env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap code
   with
   | Repro_capture.Verify.Passed _ ->
     let rec loop i = function
@@ -715,7 +716,7 @@ let killed_at env checks binary =
       | ce :: rest ->
         incr checks;
         (match Repro_capture.Verify.check_ref env.Pipeline.dx
-                 ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference binary
+                 ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference code
          with
          | Repro_capture.Verify.Passed _ -> loop (i + 1) rest
          | _ -> Some (i + 1))

@@ -7,9 +7,9 @@ module Value = Repro_vm.Value
 module Binary = Repro_lir.Binary
 module Compile = Repro_lir.Compile
 module Exec = Repro_lir.Exec
+module Blockexec = Repro_lir.Blockexec
 module Capture = Repro_capture.Capture
 module Snapshot = Repro_capture.Snapshot
-module Replay = Repro_capture.Replay
 module Verify = Repro_capture.Verify
 module Typeprof = Repro_capture.Typeprof
 module Profile = Repro_profiler.Profile
@@ -308,10 +308,40 @@ let region_binary_android env =
   let b = android_binary_for env.app in
   Binary.create (List.filter_map (Binary.find b) env.region)
 
-let replay_cycles_of_binary dx snap vmap binary =
-  match Verify.check dx snap vmap binary with
-  | Verify.Passed cycles -> Some cycles
+(* Mean of the MAD-trimmed noisy replays of a binary that passes the
+   primary check, with the noise stream of [noise_index]. *)
+let measured_ms env ~noise_index binary =
+  match
+    Verify.check env.dx env.capture.snapshot env.vmap (Blockexec.prepare binary)
+  with
+  | Verify.Passed cycles ->
+    Some
+      (Stats.mean
+         (Stats.remove_outliers_mad
+            (noise_times env ~ev_index:noise_index cycles)))
   | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None
+
+(* The deterministic part of one evaluation: everything except the
+   synthesized measurement noise.  This is what Evalpool memoizes — two
+   genomes (or two cache states) producing the same core always yield the
+   same final outcome once [outcome_of_core] re-synthesizes the times from
+   the evaluation index. *)
+type eval_core =
+  | Core_measured of { cycles : int; size : int; key : string }
+  | Core_compile_failed of string
+  | Core_compile_timeout
+  | Core_crashed of string
+  | Core_hung
+  | Core_wrong_output
+  | Core_quarantined of string
+
+(* The one staged compile of the region: every genome, the -O3 baseline
+   and the search winner go through here. *)
+let compile_spec frontend region spec =
+  match Compile.llvm_binary_staged frontend spec region with
+  | binary -> Ok binary
+  | exception Compile.Compile_error msg -> Error (Core_compile_failed msg)
+  | exception Compile.Compile_timeout -> Error Core_compile_timeout
 
 let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
     ?(quarantine = global_quarantine) app capture =
@@ -319,18 +349,11 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
   @@ fun () ->
   let dx = App.dexfile app in
   let typeprof = Typeprof.create () in
-  let snap = capture.snapshot in
   (* interpreted replay: verification map + dispatch-type profile (§3.4) *)
-  let r =
-    Replay.run dx snap Replay.Interpreter
-      ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
-  in
   let vmap =
-    match r.Replay.outcome with
-    | Replay.Finished (ret, _) ->
-      { Verify.writes = Verify.diff_against_snapshot r.Replay.ctx snap; ret }
-    | Replay.Crashed msg -> failwith ("interpreted replay crashed: " ^ msg)
-    | Replay.Hung -> failwith "interpreted replay hung"
+    Verify.collect
+      ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
+      dx capture.snapshot
   in
   let region = Regions.compilable_region dx capture.hot_mid in
   (* The genome-independent front-end, hoisted: one template per (app,
@@ -350,49 +373,24 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
       measure_seed = seed; quarantine }
   in
   let ms_of_binary ~noise_index binary =
-    match replay_cycles_of_binary dx snap vmap binary with
-    | Some cycles ->
-      Stats.mean
-        (Stats.remove_outliers_mad
-           (noise_times env0 ~ev_index:noise_index cycles))
-    | None -> nan
+    Option.value ~default:nan (measured_ms env0 ~noise_index binary)
   in
   let android_ms =
     ms_of_binary ~noise_index:android_noise_index (region_binary_android env0)
   in
   let o3 =
-    match Compile.llvm_binary_staged frontend Repro_lir.Pipelines.o3 region with
-    | b -> ms_of_binary ~noise_index:o3_noise_index b
-    | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> nan
+    match compile_spec frontend region Repro_lir.Pipelines.o3 with
+    | Ok b -> ms_of_binary ~noise_index:o3_noise_index b
+    | Error _ -> nan
   in
   { env0 with android_region_ms = android_ms; o3_region_ms = o3 }
 
-(* Delegates to the binary's memoized content digest: the same key now
-   identifies a binary in the Evalpool memo and in the block-plan cache, so
-   their hit counts can be cross-checked. *)
+(* Delegates to the binary's memoized content digest, the Evalpool
+   binary-memo key. *)
 let binary_key = Binary.digest
 
-(* The deterministic part of one evaluation: everything except the
-   synthesized measurement noise.  This is what Evalpool memoizes — two
-   genomes (or two cache states) producing the same core always yield the
-   same final outcome once [outcome_of_core] re-synthesizes the times from
-   the evaluation index. *)
-type eval_core =
-  | Core_measured of { cycles : int; size : int; key : string }
-  | Core_compile_failed of string
-  | Core_compile_timeout
-  | Core_crashed of string
-  | Core_hung
-  | Core_wrong_output
-  | Core_quarantined of string
-
 let compile_core env genome =
-  match
-    Compile.llvm_binary_staged env.frontend (Genome.to_spec genome) env.region
-  with
-  | binary -> Ok binary
-  | exception Compile.Compile_error msg -> Error (Core_compile_failed msg)
-  | exception Compile.Compile_timeout -> Error Core_compile_timeout
+  compile_spec env.frontend env.region (Genome.to_spec genome)
 
 let reason_of_check = function
   | Verify.Passed _ -> "passed"
@@ -406,8 +404,9 @@ let reason_of_check = function
    fault injection is armed: the primary keeps the historical key and
    entry [i] gets [combine site i], so every corpus check's fault
    decisions stay a pure function of (seed, binary, attempt, entry) —
-   independent of worker count and evaluation order. *)
-let check_corpus env ?site binary =
+   independent of worker count and evaluation order.  [code] is prepared
+   once per verification and replayed for every input. *)
+let check_corpus env ?site code =
   let fkey i =
     match site with
     | None -> None
@@ -415,7 +414,7 @@ let check_corpus env ?site binary =
   in
   match
     Verify.check ?faults_key:(fkey 0) env.dx env.capture.snapshot env.vmap
-      binary
+      code
   with
   | Verify.Passed cycles ->
     let rec loop i = function
@@ -424,7 +423,7 @@ let check_corpus env ?site binary =
         Trace.incr "verify.corpus_checks";
         (match
            Verify.check_ref ?faults_key:(fkey i) env.dx ce.ce_snapshot
-             ce.ce_reference binary
+             ce.ce_reference code
          with
          | Verify.Passed _ -> loop (i + 1) rest
          | bad ->
@@ -435,6 +434,7 @@ let check_corpus env ?site binary =
   | bad -> bad
 
 let verify_core env binary =
+  let code = Blockexec.prepare binary in
   let measured cycles =
     Core_measured
       { cycles; size = binary.Binary.size; key = binary_key binary }
@@ -442,7 +442,7 @@ let verify_core env binary =
   if not (Faults.active ()) then
     (* Fault injection off (the normal pipeline): single attempt, and a
        failed verification keeps its precise verdict. *)
-    match check_corpus env binary with
+    match check_corpus env code with
     | Verify.Passed cycles -> measured cycles
     | Verify.Wrong_output -> Core_wrong_output
     | Verify.Crashed msg -> Core_crashed msg
@@ -457,11 +457,11 @@ let verify_core env binary =
        and the binary, so results stay byte-identical across -jN/cache. *)
     let key = binary_key binary in
     let site attempt = Faults.combine (Faults.hash_string key) attempt in
-    match check_corpus env ~site:(site 0) binary with
+    match check_corpus env ~site:(site 0) code with
     | Verify.Passed cycles -> measured cycles
     | first ->
       Trace.incr "verify.retried";
-      (match check_corpus env ~site:(site 1) binary with
+      (match check_corpus env ~site:(site 1) code with
        | Verify.Passed cycles -> measured cycles   (* transient fault *)
        | second ->
          let reason =
@@ -508,13 +508,7 @@ let evaluate_genome ?(ev_index = 0) env genome =
   outcome_of_core env ~ev_index core
 
 let replay_ms env binary =
-  match replay_cycles_of_binary env.dx env.capture.snapshot env.vmap binary with
-  | Some cycles ->
-    Some
-      (Stats.mean
-         (Stats.remove_outliers_mad
-            (noise_times env ~ev_index:replay_ms_noise_index cycles)))
-  | None -> None
+  measured_ms env ~noise_index:replay_ms_noise_index binary
 
 type optimized = {
   env : evaluation_env;
@@ -542,12 +536,7 @@ let search_digest opt =
     (Digest.string
        (String.concat "\n" [ Ga.history_digest opt.ga; best_txt; fit_txt ]))
 
-let compile_genome env genome =
-  match
-    Compile.llvm_binary_staged env.frontend (Genome.to_spec genome) env.region
-  with
-  | b -> Some b
-  | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> None
+let compile_genome env genome = Result.to_option (compile_core env genome)
 
 (* Idle-priority spooler model (paper §3.2): the device hashes and stores
    captured pages while the search is otherwise idle — in the gaps between
@@ -893,11 +882,9 @@ let final_binary opt =
 
 let o3_binary env =
   let base = android_binary_for env.app in
-  match
-    Compile.llvm_binary_staged env.frontend Repro_lir.Pipelines.o3 env.region
-  with
-  | b -> overlay base b
-  | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> base
+  match compile_spec env.frontend env.region Repro_lir.Pipelines.o3 with
+  | Ok b -> overlay base b
+  | Error _ -> base
 
 type speedups = {
   android_cycles : float;

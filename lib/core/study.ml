@@ -8,16 +8,15 @@ type t = {
   speedups : Pipeline.speedups;
 }
 
-let cache : (string * int, t option) Hashtbl.t = Hashtbl.create 32
-
-let config_id (cfg : Ga.config) =
-  Hashtbl.hash (cfg.Ga.population, cfg.Ga.generations, cfg.Ga.max_identical)
+(* Keyed structurally on the whole GA config: every [Ga.config] field is
+   an int or a float, so polymorphic equality compares them exactly. *)
+let cache : (string * int * Ga.config, t option) Hashtbl.t = Hashtbl.create 32
 
 (* [pool]/[cache] are deliberately absent from the memo key: the pool
    guarantees identical results for every combination, so studies computed
    at different parallelism levels are interchangeable. *)
 let run ?(seed = 7) ?(cfg = Ga.quick_config) ?pool ?cache:pool_cache app =
-  let key = (app.App.name, config_id cfg + seed) in
+  let key = (app.App.name, seed, cfg) in
   match Hashtbl.find_opt cache key with
   | Some s -> s
   | None ->

@@ -12,8 +12,7 @@ let mids t =
   |> List.sort Int.compare
 
 (* Content digest over the printed graphs in ascending-mid order — the memo
-   key Evalpool uses to deduplicate identical binaries, and the key of the
-   block-plan cache.  Absent methods contribute an empty part so the digest
+   key Evalpool uses to deduplicate identical binaries.  Absent methods contribute an empty part so the digest
    stays byte-compatible with the historical [Pipeline.binary_key]. *)
 let compute_digest t =
   let parts =

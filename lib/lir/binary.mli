@@ -16,6 +16,5 @@ val recompute_size : t -> unit
 
 val digest : t -> string
 (** Hex digest of the printed method graphs in ascending-mid order — the
-    binary memo key ([Pipeline.binary_key] delegates here) and the key of
-    the block-plan cache.  Memoized; [create] fills it eagerly so
+    binary memo key ([Pipeline.binary_key] delegates here).  Memoized; [create] fills it eagerly so
     cross-domain reads never race a lazy fill. *)

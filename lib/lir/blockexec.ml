@@ -62,6 +62,8 @@ let default = Atomic.make Fused
 let default_engine () = Atomic.get default
 let set_default_engine e = Atomic.set default e
 
+(* Execute one planned method.  Precondition: [ctx.sample_period <= 0]
+   ([dispatcher] takes the reference path for profiling replays). *)
 let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
   let f = fp.Blockplan.fp_func in
   let c = ctx.Ctx.cost in
@@ -576,11 +578,18 @@ let dispatcher plan binary =
       else run_plan ctx fp args
     | None -> Interp.interpret ctx mid args
 
-let install ctx binary =
-  let plan = Blockplan.plan_for ~cost:ctx.Ctx.cost binary in
-  Ctx.set_dispatch ctx (dispatcher plan binary)
+type code = Reference of Binary.t | Planned of Blockplan.t * Binary.t
 
-let install_engine engine ctx binary =
+let prepare ?(engine = default_engine ()) binary =
   match engine with
-  | Ref -> Exec.install ctx binary
-  | Fused -> install ctx binary
+  | Ref -> Reference binary
+  | Fused -> Planned (Blockplan.build Cost.default binary, binary)
+
+let install ctx = function
+  | Reference binary -> Exec.install ctx binary
+  | Planned (plan, binary) ->
+    (* segment bounds are sums of the plan's cost model: replaying them
+       under another model would misplace the fuel headroom checks *)
+    if not (Cost.equal plan.Blockplan.pl_cost ctx.Ctx.cost) then
+      invalid_arg "Blockexec.install: plan built under another cost model";
+    Ctx.set_dispatch ctx (dispatcher plan binary)

@@ -20,27 +20,24 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
 val default_engine : unit -> engine
-(** Process-wide default used by {!Repro_capture.Replay.run} when no
-    engine is passed explicitly; starts as [Fused]. *)
+(** Process-wide default used by {!prepare} when no engine is passed
+    explicitly; starts as [Fused]. *)
 
 val set_default_engine : engine -> unit
 
-val run_plan :
-  Repro_vm.Exec_ctx.t -> Blockplan.fplan -> Repro_vm.Value.t list ->
-  Repro_vm.Value.t option
-(** Execute one planned method.  Precondition: [ctx.sample_period <= 0]
-    (the dispatcher falls back to {!Exec.run_func} for profiling replays).
-    @raise Exec.Segfault, Repro_vm.Exec_ctx.App_exception, Timeout. *)
+type code
+(** A binary made ready to replay under one engine: for [Fused] it holds
+    the binary's {!Blockplan} (built once, under {!Repro_vm.Cost.default}),
+    for [Ref] just the binary.  Nothing caches it; the caller keeps it
+    while it replays the binary ([Pipeline.verify_core] keeps it for one
+    verification). *)
 
-val dispatcher :
-  Blockplan.t -> Binary.t ->
-  (Repro_vm.Exec_ctx.t -> int -> Repro_vm.Value.t list ->
-   Repro_vm.Value.t option)
+val prepare : ?engine:engine -> Binary.t -> code
+(** [engine] defaults to {!default_engine}[ ()]. *)
 
-val install : Repro_vm.Exec_ctx.t -> Binary.t -> unit
-(** Plan the binary (through the digest-keyed cache) and install the fused
-    dispatcher. *)
-
-val install_engine : engine -> Repro_vm.Exec_ctx.t -> Binary.t -> unit
-(** [install_engine Ref] is {!Exec.install}; [install_engine Fused] is
-    {!install}. *)
+val install : Repro_vm.Exec_ctx.t -> code -> unit
+(** Install the code's dispatcher ({!Exec.install} for [Ref]).  The
+    fused dispatcher falls back to {!Exec.run_func} while the profiler
+    samples ([ctx.sample_period > 0]).
+    @raise Invalid_argument if the context's cost model is not the one
+    the plan was built under. *)

@@ -24,14 +24,14 @@
    The analysis is pure bookkeeping: the executor in [Blockexec] remains
    bit-identical to [Exec] on cycle accounting, observable memory, return
    values and crash/hang classification.  Plans are immutable after
-   construction and cached keyed by ([Binary.digest], cost model). *)
+   construction and uncached: the caller decides how long one lives
+   ([Blockexec.prepare] builds one per verification). *)
 
 module B = Repro_dex.Bytecode
 module Ast = Repro_dex.Ast
 module Hir = Repro_hgraph.Hir
 module Cost = Repro_vm.Cost
 module Trace = Repro_util.Trace
-module Bounded = Repro_util.Bounded
 
 (* ------------------------------ micro-ops --------------------------- *)
 
@@ -349,7 +349,7 @@ let build_fplan c (f : Hir.func) ~blocks_formed ~fused ~hoisted =
   { fp_func = f; fp_fetch = fetch; fp_blocks = blocks;
     fp_regs_ok = regs_in_range f }
 
-(* ----------------------------- plan cache --------------------------- *)
+(* ------------------------------ plan build -------------------------- *)
 
 let build cost binary =
   let blocks_formed = ref 0 and fused = ref 0 and hoisted = ref 0 in
@@ -367,35 +367,3 @@ let build cost binary =
   Trace.add "blockexec.ops_fused" !fused;
   Trace.add "blockexec.checks_hoisted" !hoisted;
   { pl_cost = cost; pl_funcs }
-
-(* Keyed by binary digest, then by cost model within the digest's bucket:
-   [Replay.run ?cost] may replay the same binary under different models,
-   and segment bounds depend on the model.  The LRU budget counts
-   digests.  Lookup and build both run under the lock so the build/hit
-   counters are deterministic for every -j level: exactly one build per
-   unique key, every other install is a hit. *)
-let cache : (Cost.model * t) list ref Bounded.t = Bounded.create ~budget:256 ()
-let cache_lock = Mutex.create ()
-
-let plan_for ?(cost = Cost.default) binary =
-  let key = Binary.digest binary in
-  Mutex.protect cache_lock @@ fun () ->
-  let bucket =
-    match Bounded.find cache key with
-    | Some bucket -> bucket
-    | None ->
-      let bucket = ref [] in
-      let evicted = Bounded.add cache key bucket in
-      if evicted > 0 then Trace.add "blockexec.plan_cache_evictions" evicted;
-      bucket
-  in
-  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) !bucket with
-  | Some (_, plan) ->
-    Trace.incr "blockexec.plan_cache_hits";
-    plan
-  | None ->
-    let plan = build cost binary in
-    bucket := (cost, plan) :: !bucket;
-    plan
-
-let reset_cache () = Mutex.protect cache_lock @@ fun () -> Bounded.clear cache

@@ -11,10 +11,9 @@
     The analysis never changes semantics: fused ops charge the same costs
     in the same order as their expansion, barriers execute exactly, and
     malformed graphs are given poison plans that reproduce the reference
-    failure at the same point.  Counters (emitted at build when tracing is
-    enabled): [blockexec.blocks_formed], [blockexec.ops_fused],
-    [blockexec.checks_hoisted], [blockexec.plan_builds],
-    [blockexec.plan_cache_hits], [blockexec.plan_cache_evictions]. *)
+    failure at the same point.  Counters (bumped at every build):
+    [blockexec.blocks_formed], [blockexec.ops_fused],
+    [blockexec.checks_hoisted], [blockexec.plan_builds]. *)
 
 type mop =
   | Op of Repro_hgraph.Hir.instr
@@ -94,13 +93,5 @@ type t = {
 val is_barrier : Repro_hgraph.Hir.instr -> bool
 
 val build : Repro_vm.Cost.model -> Binary.t -> t
-(** Analyze every function of the binary (no caching). *)
-
-val plan_for : ?cost:Repro_vm.Cost.model -> Binary.t -> t
-(** Cached {!build}, keyed by ([Binary.digest], cost model) with a typed
-    {!Repro_vm.Cost.equal} match — never polymorphic compare.  A
-    {!Repro_util.Bounded} LRU over the 256 most recently used digests.
-    Thread-safe; build/hit counters are deterministic across [-j]
-    levels. *)
-
-val reset_cache : unit -> unit
+(** Analyze every function of the binary.  Nothing is cached: a plan
+    lives as long as its caller holds it (see {!Blockexec.prepare}). *)

@@ -40,8 +40,9 @@ type model = {
 val default : model
 
 val equal : model -> model -> bool
-(** Structural field-by-field equality — the typed comparator used by
-    cost-keyed caches (e.g. the block-plan cache). *)
+(** Structural field-by-field equality — the typed comparator
+    [Blockexec.install] uses to reject a plan built under another
+    model. *)
 
 val native_work : Repro_dex.Bytecode.native -> int
 (** Cycles for the computational core of a native (excluding call overhead):

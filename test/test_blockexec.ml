@@ -98,7 +98,8 @@ let outcome_eq a b =
    timeouts), and the dirty heap/static words. *)
 let compare_replay ?fuel ?faults_key ~what dx snap binary =
   let replay engine () =
-    Replay.run ?fuel ?faults_key ~engine dx snap (Replay.Optimized binary)
+    Replay.run ?fuel ?faults_key dx snap
+      (Replay.Compiled (Blockexec.prepare ~engine binary))
   in
   let sref = ref [] and sfused = ref [] in
   let rref = ref None and rfused = ref None in
@@ -244,7 +245,7 @@ let host_dx () =
 
 let run_engine engine dx binary =
   let ctx = Vm.Image.build ~seed:7 dx in
-  Blockexec.install_engine engine ctx binary;
+  Blockexec.install ctx (Blockexec.prepare ~engine binary);
   match Vm.Interp.run_main ctx with
   | r -> (`Ret r, ctx.Ctx.cycles, ctx)
   | exception Ctx.App_exception code -> (`Exc code, ctx.Ctx.cycles, ctx)
@@ -259,14 +260,9 @@ let agree ~what dx binary =
   Alcotest.(check int) (what ^ ": cycles agree") c1 c2
 
 let fused_count f =
-  Trace.enable ();
-  Trace.reset ();
-  Blockplan.reset_cache ();
-  ignore (Blockplan.plan_for (Binary.create [ f ]));
-  let n = Trace.counter_value "blockexec.ops_fused" in
-  Trace.reset ();
-  Trace.disable ();
-  n
+  let before = Trace.counter_value "blockexec.ops_fused" in
+  ignore (Blockexec.prepare ~engine:Blockexec.Fused (Binary.create [ f ]));
+  Trace.counter_value "blockexec.ops_fused" - before
 
 let test_branch_into_pair () =
   let dx = host_dx () in
@@ -336,7 +332,7 @@ let test_fuel_exhaustion_mid_block () =
   in
   let run_with_fuel engine fuel =
     let ctx = Vm.Image.build ~seed:7 ~fuel dx in
-    Blockexec.install_engine engine ctx binary;
+    Blockexec.install ctx (Blockexec.prepare ~engine binary);
     match Vm.Interp.run_main ctx with
     | r -> (`Done r, ctx.Ctx.cycles)
     | exception Ctx.Timeout -> (`Timeout, ctx.Ctx.cycles)
@@ -374,22 +370,17 @@ let test_guard_stripped_killed_identically () =
     | Ok b -> b
     | Error _ -> Alcotest.fail "pinned genome failed to compile"
   in
-  let with_engine e f =
-    let prev = Blockexec.default_engine () in
-    Blockexec.set_default_engine e;
-    Fun.protect ~finally:(fun () -> Blockexec.set_default_engine prev) f
-  in
   let verdicts engine =
-    with_engine engine @@ fun () ->
+    let code = Blockexec.prepare ~engine binary in
     let primary =
       Verify.check env.Pipeline.dx
-        co.Pipeline.co_primary.Pipeline.snapshot env.Pipeline.vmap binary
+        co.Pipeline.co_primary.Pipeline.snapshot env.Pipeline.vmap code
     in
     let corpus =
       List.map
         (fun ce ->
            Verify.check_ref env.Pipeline.dx ce.Pipeline.ce_snapshot
-             ce.Pipeline.ce_reference binary)
+             ce.Pipeline.ce_reference code)
         co.Pipeline.co_entries
     in
     primary :: corpus
@@ -454,39 +445,47 @@ let test_faults_through_both_engines () =
   compare_replay ~fuel:2_000_000 ~faults_key:1 ~what:"fault exec-hang"
     env.Pipeline.dx snap binary
 
-(* ---------------------- plan cache determinism ---------------------- *)
+(* ------------------------------ prepare ------------------------------ *)
 
-let test_plan_cache_counters () =
-  let app, co, env = fixture "FFT" in
-  let _ = app and _ = co in
+(* Every fused preparation builds one plan and reports what it formed. *)
+let test_prepare_builds_one_plan () =
+  let _, _, env = fixture "FFT" in
   let binary = compiling_genome env 3 in
-  Trace.enable ();
-  Trace.reset ();
-  Blockplan.reset_cache ();
-  let p1 = Blockplan.plan_for binary in
-  let p2 = Blockplan.plan_for binary in
-  let p3 = Blockplan.plan_for binary in
-  Alcotest.(check bool) "same plan object" true (p1 == p2 && p2 == p3);
-  Alcotest.(check int) "one build" 1 (Trace.counter_value "blockexec.plan_builds");
-  Alcotest.(check int) "two hits" 2
-    (Trace.counter_value "blockexec.plan_cache_hits");
+  let grown name f =
+    let before = Trace.counter_value name in
+    f ();
+    Trace.counter_value name - before
+  in
+  let prepare_fused () =
+    ignore (Blockexec.prepare ~engine:Blockexec.Fused binary)
+  in
+  Alcotest.(check int) "one build per prepare" 1
+    (grown "blockexec.plan_builds" prepare_fused);
+  Alcotest.(check int) "the reference engine plans nothing" 0
+    (grown "blockexec.plan_builds" (fun () ->
+         ignore (Blockexec.prepare ~engine:Blockexec.Ref binary)));
   Alcotest.(check bool) "plans report fusions" true
-    (Trace.counter_value "blockexec.ops_fused" > 0);
+    (grown "blockexec.ops_fused" prepare_fused > 0);
   Alcotest.(check bool) "plans report hoisted checks" true
-    (Trace.counter_value "blockexec.checks_hoisted" > 0);
+    (grown "blockexec.checks_hoisted" prepare_fused > 0);
   Alcotest.(check bool) "plans report blocks" true
-    (Trace.counter_value "blockexec.blocks_formed" > 0);
-  (* a different cost model is a different plan *)
+    (grown "blockexec.blocks_formed" prepare_fused > 0)
+
+(* A plan's segment bounds are sums of its cost model: installing it into
+   a context running another model must fail, not replay wrong fuel
+   checks. *)
+let test_install_rejects_other_cost_model () =
+  let dx = host_dx () in
+  let binary = Binary.create [ two_path_func ~mid:dx.B.dx_main ~split:false ] in
+  let code = Blockexec.prepare ~engine:Blockexec.Fused binary in
   let other = { Vm.Cost.default with Vm.Cost.int_alu = 2 } in
-  let p4 = Blockplan.plan_for ~cost:other binary in
-  Alcotest.(check bool) "cost model keys the cache" true (not (p4 == p1));
-  Alcotest.(check int) "second build" 2
-    (Trace.counter_value "blockexec.plan_builds");
-  (* the cache key is the Evalpool memo key *)
-  Alcotest.(check string) "digest = binary_key" (Binary.digest binary)
-    (Pipeline.binary_key binary);
-  Trace.reset ();
-  Trace.disable ()
+  let ctx = Vm.Image.build ~seed:7 ~cost:other dx in
+  Alcotest.(check bool) "foreign cost model rejected" true
+    (match Blockexec.install ctx code with
+     | () -> false
+     | exception Invalid_argument _ -> true);
+  (* the same code installs under the model it was planned for *)
+  Blockexec.install (Vm.Image.build ~seed:7 dx) code
 
 (* ----------------------- sampling fallback -------------------------- *)
 
@@ -529,9 +528,11 @@ let () =
            test_guard_stripped_killed_identically;
          Alcotest.test_case "executor faults through both engines" `Quick
            test_faults_through_both_engines ]);
-      ("plan cache",
-       [ Alcotest.test_case "counters and keying" `Quick
-           test_plan_cache_counters ]);
+      ("prepare",
+       [ Alcotest.test_case "one plan per prepare" `Quick
+           test_prepare_builds_one_plan;
+         Alcotest.test_case "install rejects another cost model" `Quick
+           test_install_rejects_other_cost_model ]);
       ("profiler",
        [ Alcotest.test_case "sampling falls back to reference" `Quick
            test_sampling_fallback ]) ]

@@ -78,7 +78,8 @@ let test_replay_code_versions_agree () =
   let android = Pipeline.android_binary_for app in
   let interp = Replay.run dx cap.Pipeline.snapshot Replay.Interpreter in
   let compiled =
-    Replay.run dx cap.Pipeline.snapshot (Replay.Android_code android)
+    Replay.run dx cap.Pipeline.snapshot
+      (Replay.Compiled (Repro_lir.Blockexec.prepare android))
   in
   match interp.Replay.outcome, compiled.Replay.outcome with
   | Replay.Finished (ri, ci), Replay.Finished (rc, cc) ->
@@ -97,7 +98,10 @@ let test_verification_map_accepts_safe () =
     Repro_lir.Compile.llvm_binary (App.dexfile app) Repro_lir.Pipelines.o2
       env.Pipeline.region
   in
-  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap binary with
+  match
+    Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap
+      (Repro_lir.Blockexec.prepare binary)
+  with
   | Verify.Passed _ -> ()
   | _ -> Alcotest.fail "O2 should verify"
 
@@ -110,7 +114,10 @@ let test_verification_map_rejects_fast_math () =
       (Repro_lir.Pipelines.o2 @ [ ("fast-math", [| 1; 1 |]) ])
       env.Pipeline.region
   in
-  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap binary with
+  match
+    Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap
+      (Repro_lir.Blockexec.prepare binary)
+  with
   | Verify.Wrong_output -> ()
   | Verify.Passed _ -> Alcotest.fail "fast-math should change LU's bits"
   | Verify.Crashed m -> Alcotest.fail ("crashed: " ^ m)
@@ -139,6 +146,9 @@ let with_stub binary mid f =
        (fun m -> if m = mid then f else Option.get (Binary.find binary m))
        (Binary.mids binary))
 
+let prepared_stub binary mid f =
+  Repro_lir.Blockexec.prepare (with_stub binary mid f)
+
 let verify_fixture () =
   let app = fft () in
   let cap = Lazy.force fft_capture in
@@ -157,7 +167,7 @@ let test_verify_flags_wrong_output () =
         let r = Hir.fresh_reg f in
         ignore (Hir.add_block f [ Hir.Const (r, B.Cint 7) ] (Hir.Ret (Some r))))
   in
-  match Verify.check dx snap vmap (with_stub binary mid bad) with
+  match Verify.check dx snap vmap (prepared_stub binary mid bad) with
   | Verify.Wrong_output -> ()
   | Verify.Passed _ -> Alcotest.fail "constant region passed verification"
   | Verify.Crashed m -> Alcotest.fail ("crashed: " ^ m)
@@ -170,7 +180,7 @@ let test_verify_flags_crash () =
         let r = Hir.fresh_reg f in
         ignore (Hir.add_block f [ Hir.Const (r, B.Cint 7) ] (Hir.ThrowT r)))
   in
-  match Verify.check dx snap vmap (with_stub binary mid bad) with
+  match Verify.check dx snap vmap (prepared_stub binary mid bad) with
   | Verify.Crashed _ -> ()
   | Verify.Passed _ -> Alcotest.fail "throwing region passed verification"
   | Verify.Wrong_output -> Alcotest.fail "crash misreported as wrong output"
@@ -182,7 +192,7 @@ let test_verify_flags_hang () =
     stub_func ~mid ~nparams (fun f ->
         ignore (Hir.add_block f [] (Hir.Goto 0)))
   in
-  match Verify.check ~fuel:10_000 dx snap vmap (with_stub binary mid bad) with
+  match Verify.check ~fuel:10_000 dx snap vmap (prepared_stub binary mid bad) with
   | Verify.Hung -> ()
   | Verify.Passed _ -> Alcotest.fail "infinite loop passed verification"
   | Verify.Wrong_output -> Alcotest.fail "hang misreported as wrong output"
@@ -587,7 +597,7 @@ let test_corpus_maps_never_conflated () =
   let co = Lazy.force fft_corpus in
   let app = fft () in
   let dx = App.dexfile app in
-  let android = Pipeline.android_binary_for app in
+  let android = Repro_lir.Blockexec.prepare (Pipeline.android_binary_for app) in
   let primary_snap = co.Pipeline.co_primary.Pipeline.snapshot in
   let primary_map = Verify.collect dx primary_snap in
   let trap, nan_entry =

@@ -76,7 +76,14 @@ let test_study_memoized () =
   let b = Study.run ~cfg:tiny_cfg app in
   (* physical equality proves the second call came from the cache *)
   Alcotest.(check bool) "same study" true
-    (match a, b with Some a, Some b -> a == b | _ -> false)
+    (match a, b with Some a, Some b -> a == b | _ -> false);
+  (* the memo keys on the whole config: a variant differing only in a
+     field outside (population, generations, max_identical) is its own
+     study *)
+  let other = { tiny_cfg with Ga.elites = tiny_cfg.Ga.elites + 1 } in
+  let c = Study.run ~cfg:other app in
+  Alcotest.(check bool) "other elites, other study" true
+    (match a, c with Some a, Some c -> a != c | _ -> false)
 
 let test_fig1_classifies () =
   let f = E.fig1 ~sequences:20 ~seed:5 () in

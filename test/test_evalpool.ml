@@ -11,7 +11,6 @@ module Domainpool = Repro_search.Domainpool
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Blockexec = Repro_lir.Blockexec
-module Blockplan = Repro_lir.Blockplan
 module Trace = Repro_util.Trace
 
 (* ----------------------- end-to-end determinism --------------------- *)
@@ -69,41 +68,37 @@ let test_engine_determinism () =
          (run ~engine:Blockexec.Fused ~jobs ~cache = reference))
     [ (1, true); (4, true); (1, false); (4, false) ]
 
-(* The plan cache keys on the same {!Pipeline.binary_key} digest as the
-   pool's binary memo, so the two caches must stay consistent: a search
-   never builds more plans than it runs verified replays (the memo already
-   deduplicated identical binaries), and re-running the same search reuses
-   every plan from the process-global cache even though the fresh pool's
-   memo starts cold. *)
-let test_plan_cache_tracks_binary_memo () =
+(* A plan lives for one verification: [verify_core] prepares the binary
+   once and replays it for the primary capture and every corpus entry, as
+   do the two baseline replays of the environment.  So each verified
+   replay (passed or rejected) is either the first of its verification —
+   which built a plan — or a corpus check, and a regression that planned
+   per corpus replay would break the sum.  Counters always count, so the
+   deltas need no tracing. *)
+let test_one_plan_per_verification () =
   let app = Option.get (App.find "FFT") in
-  let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
-  Trace.enable ();
-  Trace.reset ();
-  Blockplan.reset_cache ();
-  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
-  @@ fun () ->
-  let run () =
-    with_engine Blockexec.Fused @@ fun () ->
-    Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:1 ~cache:true app cap
+  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  Alcotest.(check bool) "the corpus has secondary inputs" true
+    (co.Pipeline.co_entries <> []);
+  let names =
+    [ "blockexec.plan_builds"; "verify.corpus_checks"; "verify.passed";
+      "verify.rejected" ]
   in
-  let o1 = run () in
-  let builds1 = Trace.counter_value "blockexec.plan_builds" in
-  Alcotest.(check bool) "plans built during the search" true (builds1 > 0);
-  (* unique digests planned <= verified replays run by the pool, plus the
-     handful of baseline android/-O3 replays the environment sets up *)
-  let verifies = o1.Pipeline.pool_stats.Evalpool.verifies in
-  Alcotest.(check bool) "at most one plan per verified replay" true
-    (builds1 <= verifies + 8);
-  let o2 = run () in
-  Alcotest.(check int) "repeat search builds no new plan"
-    builds1 (Trace.counter_value "blockexec.plan_builds");
-  Alcotest.(check bool) "repeat search hits the plan cache" true
-    (Trace.counter_value "blockexec.plan_cache_hits" > 0);
-  Alcotest.(check int) "small searches never evict a plan" 0
-    (Trace.counter_value "blockexec.plan_cache_evictions");
-  Alcotest.(check int) "fresh pool re-verified the same binaries"
-    verifies o2.Pipeline.pool_stats.Evalpool.verifies
+  let before = List.map Trace.counter_value names in
+  let o =
+    with_engine Blockexec.Fused @@ fun () ->
+    Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:2 ~cache:true
+      ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+  in
+  match List.map2 (fun n b -> Trace.counter_value n - b) names before with
+  | [ builds; corpus_checks; passed; rejected ] ->
+    Alcotest.(check bool) "corpus replays ran" true (corpus_checks > 0);
+    Alcotest.(check int) "builds + corpus checks = verified replays"
+      (passed + rejected) (builds + corpus_checks);
+    (* the pool's verifies plus the android and -O3 baselines *)
+    Alcotest.(check int) "one build per verification"
+      (o.Pipeline.pool_stats.Evalpool.verifies + 2) builds
+  | _ -> assert false
 
 (* ----------------------- synthetic pool fixtures --------------------- *)
 
@@ -413,8 +408,8 @@ let () =
       ("engine",
        [ Alcotest.test_case "ref = fused across jobs/cache" `Quick
            test_engine_determinism;
-         Alcotest.test_case "plan cache tracks binary memo" `Quick
-           test_plan_cache_tracks_binary_memo ]);
+         Alcotest.test_case "one plan per verification" `Quick
+           test_one_plan_per_verification ]);
       ("memoization",
        [ Alcotest.test_case "genome memo accounting" `Quick
            test_genome_memo_accounting;

@@ -174,7 +174,8 @@ type fixture = {
   dx : Repro_dex.Bytecode.dexfile;
   snap : Snapshot.t;
   vmap : Verify.t;
-  binary : Lir.Binary.t;        (* known-good region binary *)
+  binary : Lir.Binary.t;        (* known-good region binary... *)
+  code : Lir.Blockexec.code;    (* ...prepared for replay *)
   ref_ret : Vm.Value.t option;  (* reference interpreted replay... *)
   ref_writes : (int * int64) list;  (* ...and its full-scan write set *)
 }
@@ -188,7 +189,8 @@ let fixture =
      let vmap = Verify.collect dx snap in
      let region = Pipeline.region_methods app cap.Pipeline.hot_mid in
      let binary = Lir.Compile.llvm_binary dx Lir.Pipelines.o2 region in
-     (match Verify.check dx snap vmap binary with
+     let code = Lir.Blockexec.prepare binary in
+     (match Verify.check dx snap vmap code with
       | Verify.Passed _ -> ()
       | _ -> Alcotest.fail "fixture binary does not verify");
      let r = Replay.run dx snap Replay.Interpreter in
@@ -198,7 +200,7 @@ let fixture =
        | _ -> Alcotest.fail "reference replay failed"
      in
      let ref_writes = Verify.diff_against_snapshot_full r.Replay.ctx snap in
-     { dx; snap; vmap; binary; ref_ret; ref_writes })
+     { dx; snap; vmap; binary; code; ref_ret; ref_writes })
 
 (* Replace [mid]'s code in the fixture binary with [f']. *)
 let with_mutant fx mid f' =
@@ -231,7 +233,9 @@ let plant_mutant fx m rng =
 (* A mutant that slipped past Verify.check must be observationally equivalent
    to the interpreter: same return value, same full-scan write set. *)
 let provably_benign fx mutant =
-  let r = Replay.run fx.dx fx.snap (Replay.Optimized mutant) in
+  let r =
+    Replay.run fx.dx fx.snap (Replay.Compiled (Lir.Blockexec.prepare mutant))
+  in
   match r.Replay.outcome with
   | Replay.Finished (ret, _) ->
     let same_ret =
@@ -259,7 +263,9 @@ let prop_mutator_caught m =
       match plant_mutant fx m rng with
       | None -> QCheck.assume_fail ()   (* no applicable site: vacuous *)
       | Some (mid, mutant) ->
-        (match Verify.check fx.dx fx.snap fx.vmap mutant with
+        (match
+           Verify.check fx.dx fx.snap fx.vmap (Lir.Blockexec.prepare mutant)
+         with
          | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> true
          | Verify.Passed _ ->
            provably_benign fx mutant
@@ -286,7 +292,7 @@ let check_point_caught point expected_verdict () =
   clean (fun () ->
     let fx = Lazy.force fixture in
     Faults.enable (cfg ~seed:3 ~rate:1.0 ~only:[ point ] ());
-    let verdict = Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.binary in
+    let verdict = Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.code in
     Alcotest.(check bool)
       (Printf.sprintf "%s fired at least once" (Faults.point_name point))
       true
@@ -332,7 +338,7 @@ let check_store_point_caught point () =
          Repro_os.Storage.flush storage;
          Snapshot.invalidate_templates ();
          Faults.enable (cfg ~seed:3 ~rate:1.0 ~only:[ point ] ());
-         (match Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.binary with
+         (match Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.code with
           | Verify.Crashed msg ->
             Alcotest.(check bool) "storage-prefixed reason" true
               (String.length msg >= 8 && String.sub msg 0 8 = "storage:")
@@ -344,7 +350,7 @@ let check_store_point_caught point () =
             path, so an unscoped replay still verifies *)
          Faults.disable ();
          Snapshot.invalidate_templates ();
-         match Verify.check fx.dx fx.snap fx.vmap fx.binary with
+         match Verify.check fx.dx fx.snap fx.vmap fx.code with
          | Verify.Passed _ -> ()
          | _ -> Alcotest.fail "store left damaged by read-path injection"))
     ()
@@ -354,7 +360,7 @@ let test_unscoped_replay_immune () =
     let fx = Lazy.force fixture in
     Faults.enable (cfg ~seed:3 ~rate:1.0 ());
     (* no faults_key: loader/executor points must stay dormant *)
-    match Verify.check fx.dx fx.snap fx.vmap fx.binary with
+    match Verify.check fx.dx fx.snap fx.vmap fx.code with
     | Verify.Passed _ -> ()
     | _ -> Alcotest.fail "unscoped replay was damaged by armed registry")
     ()
@@ -377,7 +383,7 @@ let test_retry_distinguishes_transient () =
         Faults.enable
           (cfg ~seed ~rate:0.5 ~only:[ Faults.Replay_collision ] ());
         let damaged k =
-          match Verify.check ~faults_key:k fx.dx fx.snap fx.vmap fx.binary with
+          match Verify.check ~faults_key:k fx.dx fx.snap fx.vmap fx.code with
           | Verify.Passed _ -> false
           | _ -> true
         in
@@ -413,7 +419,8 @@ let test_pipeline_quarantines_deterministic_miscompiles () =
         | Ok binary ->
           (match
              Verify.check env.Pipeline.dx
-               env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap binary
+               env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap
+               (Lir.Blockexec.prepare binary)
            with
            | Verify.Passed _ -> miscompiled (seed + 1)
            | _ -> binary)
@@ -465,7 +472,7 @@ let test_ga_under_faults () =
        (match
           Verify.check o1.Pipeline.env.Pipeline.dx
             o1.Pipeline.env.Pipeline.capture.Pipeline.snapshot
-            o1.Pipeline.env.Pipeline.vmap b
+            o1.Pipeline.env.Pipeline.vmap (Lir.Blockexec.prepare b)
         with
         | Verify.Passed _ -> ()
         | _ -> Alcotest.fail "winner does not verify without faults")))
@@ -528,11 +535,12 @@ let test_corpus_optimize_deterministic () =
     match o1.Pipeline.best_binary with
     | None -> Alcotest.fail "no verified winner with corpus"
     | Some b ->
+      let code = Lir.Blockexec.prepare b in
       List.iter
         (fun ce ->
            match
              Verify.check_ref o1.Pipeline.env.Pipeline.dx
-               ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference b
+               ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference code
            with
            | Verify.Passed _ -> ()
            | _ -> Alcotest.fail "winner fails a corpus entry")

@@ -332,7 +332,9 @@ let prop_capture_verify_differential =
        | Some snap ->
          let vmap = Verify.collect dx snap in
          let binary = Repro_lir.Compile.android_binary dx (all_mids dx) in
-         (match Verify.check dx snap vmap binary with
+         (match
+            Verify.check dx snap vmap (Repro_lir.Blockexec.prepare binary)
+          with
           | Verify.Passed _ -> ()
           | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung ->
             QCheck.Test.fail_reportf
@@ -340,7 +342,9 @@ let prop_capture_verify_differential =
          (match perturb_binary binary mid with
           | None -> true   (* region never returns a value: cannot perturb *)
           | Some bad ->
-            (match Verify.check dx snap vmap bad with
+            (match
+               Verify.check dx snap vmap (Repro_lir.Blockexec.prepare bad)
+             with
              | Verify.Wrong_output -> true
              | Verify.Passed _ ->
                QCheck.Test.fail_reportf
@@ -367,7 +371,9 @@ let replay_streamed engine dx snap binary =
   let r =
     Fun.protect
       ~finally:(fun () -> Exec.block_hook := None)
-      (fun () -> Replay.run ~engine dx snap (Replay.Optimized binary))
+      (fun () ->
+         Replay.run dx snap
+           (Replay.Compiled (Blockexec.prepare ~engine binary)))
   in
   (r, List.rev !stream)
 
@@ -476,11 +482,7 @@ let prop_engines_agree =
               (* the verdict the pipeline acts on must also agree *)
               let vmap = Verify.collect dx snap in
               let verdict engine =
-                let prev = Blockexec.default_engine () in
-                Blockexec.set_default_engine engine;
-                Fun.protect
-                  ~finally:(fun () -> Blockexec.set_default_engine prev)
-                  (fun () -> Verify.check dx snap vmap binary)
+                Verify.check dx snap vmap (Blockexec.prepare ~engine binary)
               in
               let vr = verdict Blockexec.Ref
               and vf = verdict Blockexec.Fused in

@@ -10,6 +10,8 @@ module Serve = Repro_core.Serve
 module Checkpoint = Repro_core.Checkpoint
 module Ga = Repro_search.Ga
 module App = Repro_apps.Registry
+module Faults = Repro_util.Faults
+module Snapshot = Repro_capture.Snapshot
 
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 4; max_identical = 30 }
@@ -61,6 +63,32 @@ let test_serve_matches_standalone ~jobs () =
   Alcotest.(check int) "peak active" 2 s.Serve.st_peak_active;
   Alcotest.(check (float 0.0)) "round-robin fairness is exact" 0.0
     s.Serve.st_fairness_spread
+
+(* Store faults damage replays on the read path, keyed by the binary and
+   the input alone, and their quarantine reasons name the app, not the
+   capture: so an FFT tenant sharing the pool with a second tenant still
+   reproduces the standalone FFT search under the same fault seed. *)
+let test_store_faults_serve_matches_standalone () =
+  Snapshot.set_store (Some (Repro_os.Storage.create ()));
+  Faults.enable
+    { Faults.fseed = 11; frate = 0.2;
+      fonly = Some [ Faults.Store_corrupt; Faults.Store_truncate ] };
+  Fun.protect
+    ~finally:(fun () ->
+        Faults.disable ();
+        Snapshot.set_store None;
+        Snapshot.invalidate_templates ())
+  @@ fun () ->
+  let fft = standalone "FFT" 5 in
+  Alcotest.(check bool) "store faults fired" true (Faults.injected () > 0);
+  with_serve ~jobs:2 ~max_active:2 @@ fun t ->
+  List.iter (fun r -> ignore (Serve.submit t r)) (requests ());
+  Serve.drive t;
+  match digests_of t with
+  | [ served_fft; _ ] ->
+    Alcotest.(check string) "served FFT = standalone under store faults" fft
+      served_fft
+  | _ -> Alcotest.fail "expected two tenants"
 
 (* ---------------------- admission and backpressure -------------------- *)
 
@@ -171,7 +199,9 @@ let () =
          Alcotest.test_case "2 tenants = standalone (shared pool, j4)"
            `Quick (test_serve_matches_standalone ~jobs:4);
          Alcotest.test_case "admission control + backpressure" `Quick
-           test_admission_control ]);
+           test_admission_control;
+         Alcotest.test_case "store faults: served FFT = standalone" `Quick
+           test_store_faults_serve_matches_standalone ]);
       ("resume",
        [ Alcotest.test_case "kill mid-serve, resume both tenants" `Quick
            test_serve_kill_resume ]);
