@@ -590,11 +590,13 @@ let corpus_bench () =
 
 (* Block-fused executor vs the per-instruction reference engine on the
    fig7-style workload: FFT verified replays under both the Android
-   pipeline binary and the LLVM -O3 region binary.  Re-checks the
-   bit-identical contract on the way (outcome and final cycle counter
-   agree per binary per engine) and writes BENCH_exec.json so CI can
-   assert the >=1.3x replay speedup and nonzero fusion/hoisting
-   counters. *)
+   pipeline binary and the LLVM -O3 region binary, plus a row of GA
+   candidates (fixed-seed random genomes on MaterialLife and DroidFish)
+   with the median fused-over-reference speedup and its bootstrap
+   interval.  Re-checks the bit-identical contract on the way (outcome
+   and final cycle counter agree per binary per engine) and writes
+   BENCH_exec.json so CI can assert the >=1.3x replay speedups and
+   nonzero fusion/hoisting counters. *)
 let exec_bench () =
   let module Replay = Repro_capture.Replay in
   let module Blockexec = Repro_lir.Blockexec in
@@ -661,6 +663,58 @@ let exec_bench () =
   let android_speedup =
     match timed with (_, _, _, s) :: _ -> s | [] -> 0.0
   in
+  (* GA candidates: the code verification actually replays.  Fixed-seed
+     random genomes for the interactive apps, the first [per_app] per app
+     that compile and finish their primary replay; each contributes one
+     fused-over-reference ratio *)
+  let per_app = 8 in
+  let candidate_apps = [ "MaterialLife"; "DroidFish" ] in
+  let candidates =
+    List.concat_map
+      (fun name ->
+         let app = Option.get (Repro_apps.Registry.find name) in
+         let capture = Option.get (P.capture_once app) in
+         let env = P.make_eval_env app capture in
+         let dx = env.P.dx and snap = capture.P.snapshot in
+         let run code = Replay.run dx snap (Replay.Compiled code) in
+         let rec pick seed acc =
+           if List.length acc = per_app || seed > 1000 then List.rev acc
+           else
+             let genome =
+               Repro_search.Genome.random (Repro_util.Rng.create seed)
+             in
+             match P.compile_core env genome with
+             | Error _ -> pick (seed + 1) acc
+             | Ok binary ->
+               let ref_code = Blockexec.prepare ~engine:Blockexec.Ref binary
+               and fused_code =
+                 Blockexec.prepare ~engine:Blockexec.Fused binary
+               in
+               let a = run ref_code and b = run fused_code in
+               if outcome_str a.Replay.outcome <> outcome_str b.Replay.outcome
+                  || a.Replay.ctx.Repro_vm.Exec_ctx.cycles
+                     <> b.Replay.ctx.Repro_vm.Exec_ctx.cycles
+               then
+                 failwith
+                   (Printf.sprintf "engine divergence on %s genome seed %d"
+                      name seed);
+               (match a.Replay.outcome with
+                | Replay.Finished _ ->
+                  let time c = time_ns ~iters:5 (fun () -> ignore (run c)) in
+                  let ref_ns = time ref_code in
+                  let fused_ns = time fused_code in
+                  pick (seed + 1) (ref_ns /. fused_ns :: acc)
+                | Replay.Crashed _ | Replay.Hung -> pick (seed + 1) acc)
+         in
+         pick 1 [])
+      candidate_apps
+    |> Array.of_list
+  in
+  let cand_median = Repro_util.Stats.median candidates in
+  let cand_ci =
+    Repro_util.Stats.bootstrap_ci (Repro_util.Rng.create 17) ~confidence:0.95
+      Repro_util.Stats.median candidates
+  in
   let target = 1.3 in
   let entries =
     String.concat ",\n"
@@ -685,12 +739,26 @@ let exec_bench () =
     "checks_hoisted": %d,
     "plan_builds": %d
   },
+  "candidates": {
+    "apps": [%s],
+    "count": %d,
+    "speedups": [%s],
+    "median_speedup": %.3f,
+    "ci_lo": %.3f,
+    "ci_hi": %.3f
+  },
   "target_speedup": %.2f,
   "android_speedup": %.2f,
   "meets_target": %b
 }
 |}
     entries blocks_formed ops_fused checks_hoisted plan_builds
+    (String.concat ", "
+       (List.map (Printf.sprintf "\"%s\"") candidate_apps))
+    (Array.length candidates)
+    (String.concat ", "
+       (Array.to_list (Array.map (Printf.sprintf "%.3f") candidates)))
+    cand_median cand_ci.Repro_util.Stats.lo cand_ci.Repro_util.Stats.hi
     target android_speedup (android_speedup >= target);
   close_out oc;
   Printf.printf "execution-engine benchmark (FFT verified replay)\n";
@@ -702,6 +770,10 @@ let exec_bench () =
   Printf.printf
     "  plan     %d blocks, %d ops fused, %d checks hoisted (%d builds)\n"
     blocks_formed ops_fused checks_hoisted plan_builds;
+  Printf.printf
+    "  GA candidates (%d, %s): median %.2fx, 95%% CI [%.2f, %.2f]\n"
+    (Array.length candidates) (String.concat "+" candidate_apps) cand_median
+    cand_ci.Repro_util.Stats.lo cand_ci.Repro_util.Stats.hi;
   Printf.printf "  android speedup: %.2fx %s\n" android_speedup
     (if android_speedup >= target then "(meets the 1.3x target)"
      else "(BELOW the 1.3x target)");

@@ -44,14 +44,14 @@ let android_binary_for app =
     Hashtbl.add android_cache app.App.name b;
     b
 
-let online_run ?(seed = 42) ?binary ?(sample_period = 20_000) app =
+let online_run ?(seed = 42) ?code ?(sample_period = 20_000) app =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "online_run"
   @@ fun () ->
   let ctx = App.build_ctx ~seed app in
   ctx.Ctx.sample_period <- sample_period;
   ctx.Ctx.next_sample <- sample_period;
-  (match binary with
-   | Some b -> Exec.install ctx b
+  (match code with
+   | Some code -> Blockexec.install ctx code
    | None -> Exec.install ctx (android_binary_for app));
   let ret = Interp.run_main ctx in
   { ctx; profile = Profile.of_ctx ctx; cycles = ctx.Ctx.cycles; ret }
@@ -900,10 +900,14 @@ let measure_speedups ?(runs = 5) app opt =
   let android = android_binary_for app in
   let o3 = o3_binary opt.env in
   let ga = final_binary opt in
+  (* only cycles are read, and sampling never charges any: the runs go
+     unsampled, so the fused engine executes them *)
   let mean_cycles binary =
+    let code = Blockexec.prepare binary in
     let samples =
       Array.init runs (fun i ->
-          float_of_int (online_run ~seed:(1000 + i) ~binary app).cycles)
+          float_of_int
+            (online_run ~seed:(1000 + i) ~code ~sample_period:0 app).cycles)
     in
     Stats.mean samples
   in

@@ -18,9 +18,12 @@ val android_binary_for : App.t -> Repro_lir.Binary.t
 (** The device's default code: every compilable method, Android pipeline. *)
 
 val online_run :
-  ?seed:int -> ?binary:Repro_lir.Binary.t -> ?sample_period:int -> App.t ->
-  online
-(** One full online execution (out of the box: the Android binary). *)
+  ?seed:int -> ?code:Repro_lir.Blockexec.code -> ?sample_period:int ->
+  App.t -> online
+(** One full online execution (out of the box: the Android binary on the
+    reference engine).  [sample_period] defaults to 20 000 cycles; while
+    it is positive, prepared fused code runs on the reference engine too
+    (see {!Repro_lir.Blockexec.install}). *)
 
 val hot_region_of : App.t -> online -> int option
 val region_methods : App.t -> int -> int list
@@ -368,4 +371,5 @@ val measure_speedups :
   ?runs:int -> App.t -> optimized -> speedups
 (** Whole-program execution outside the replay environment (paper §4): the
     same online runs under the three binaries, averaged over several
-    fixed-seed executions. *)
+    fixed-seed executions.  The runs read only cycles, so they go unsampled
+    on code from {!Repro_lir.Blockexec.prepare} (the default engine). *)

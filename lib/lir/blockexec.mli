@@ -1,11 +1,15 @@
-(** The block-fused LIR executor (ROADMAP item 2).
+(** The compiled block-fused LIR executor (ROADMAP item 2).
 
     Executes compiled binaries against the decode-time plans of
     {!Blockplan}: per-block micro-op streams with straightened goto chains,
-    peephole-fused hot pairs, and straight-line segments that run on a
-    local cycle accumulator after a single headroom check against the
-    remaining fuel (hoisting the reference engine's per-instruction fuel
-    checks).
+    peephole-fused hot pairs, and straight-line segments that charge
+    without per-instruction fuel checks after a single headroom check
+    against the remaining fuel.  {!prepare} compiles each plan once into
+    closure-threaded code: one closure per micro-op with its cycle charge
+    folded in as a constant, one closure per block returning the next
+    block id, and registers held unboxed (a tag byte plus an int or float
+    payload).  Int, float and bool cases run inline; every other case runs
+    the boxed reference semantics.
 
     Contract: cycle accounting, observable memory, return values,
     profiler samples and crash/hang classification are bit-identical to
@@ -26,11 +30,11 @@ val default_engine : unit -> engine
 val set_default_engine : engine -> unit
 
 type code
-(** A binary made ready to replay under one engine: for [Fused] it holds
-    the binary's {!Blockplan} (built once, under {!Repro_vm.Cost.default}),
-    for [Ref] just the binary.  Nothing caches it; the caller keeps it
-    while it replays the binary ([Pipeline.verify_core] keeps it for one
-    verification). *)
+(** A binary made ready to replay under one engine: for [Fused] the
+    binary's {!Blockplan} (built once, under {!Repro_vm.Cost.default})
+    compiled to closures, for [Ref] just the binary.  Immutable; nothing
+    caches it; the caller keeps it while it replays the binary
+    ([Pipeline.verify_core] keeps it for one verification). *)
 
 val prepare : ?engine:engine -> Binary.t -> code
 (** [engine] defaults to {!default_engine}[ ()]. *)

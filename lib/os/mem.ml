@@ -105,7 +105,7 @@ let in_tbl mt page =
    sorted) mappings. *)
 let find_tbl t page =
   match t.last with
-  | Some mt when in_tbl mt page -> Some mt
+  | Some mt as hit when in_tbl mt page -> hit
   | _ ->
     let tbls = t.tbls in
     let rec go lo hi =

@@ -157,7 +157,7 @@ let fixture name =
     Hashtbl.replace fixture_cache name f;
     f
 
-let campaign_apps = [ "FFT"; "LU"; "SOR" ]
+let campaign_apps = [ "FFT"; "LU"; "SOR"; "MaterialLife"; "DroidFish" ]
 
 (* ------------------------- qcheck campaign -------------------------- *)
 
@@ -304,13 +304,219 @@ let test_missing_block () =
   Alcotest.(check bool) "same failure" true (r1 = r2);
   Alcotest.(check int) "same cycles at failure" c1 c2
 
+(* --------------- pinned: fallbacks off the fast cases ---------------- *)
+
+(* A hand-built main of the given blocks (bids assigned in order). *)
+let func_of ?(nregs = 8) ~mid name blocks =
+  let f =
+    { Hir.f_mid = mid; f_name = name; f_nparams = 0; f_nregs = nregs;
+      f_blocks = Hashtbl.create 8; f_entry = 0; f_next_bid = 0;
+      f_pressure = None }
+  in
+  List.iter (fun (insns, term) -> ignore (Hir.add_block f insns term)) blocks;
+  f
+
+let show_run = function
+  | `Ret (Some v) -> "ret " ^ Value.to_string v
+  | `Ret None -> "ret ()"
+  | `Exc code -> Printf.sprintf "exception %d" code
+  | `Segv msg -> "segfault: " ^ msg
+  | `Timeout -> "timeout"
+  | `Invalid msg -> "invalid_argument: " ^ msg
+
+(* Both engines must agree, and the reference must end as [expect]. *)
+let expect_same ~what ~expect dx f =
+  let binary = Binary.create [ f ] in
+  let r1, c1, _ = run_engine Blockexec.Ref dx binary in
+  let r2, c2, _ = run_engine Blockexec.Fused dx binary in
+  Alcotest.(check string) (what ^ ": reference outcome") expect (show_run r1);
+  Alcotest.(check string) (what ^ ": same outcome") (show_run r1) (show_run r2);
+  Alcotest.(check int) (what ^ ": same cycles") c1 c2
+
+(* The compiled engine decides int×int and float×float cases inline; a
+   float, bool or ref register reaching one of those instructions must
+   take the boxed body and fail (or not) with the reference's exact
+   text.  Each case is one block [Const a; Const b; op; Ret]. *)
+let test_type_fallbacks () =
+  let dx = host_dx () in
+  let mid = dx.B.dx_main in
+  let ci k = B.Cint k and cf x = B.Cfloat x and cb b = B.Cbool b in
+  let case ~what ~expect x y insns =
+    expect_same ~what ~expect dx
+      (func_of ~mid what
+         [ (Hir.Const (0, x) :: Hir.Const (1, y) :: insns, Hir.Ret (Some 2)) ])
+  in
+  let bin op = [ Hir.Binop (op, 2, 0, 1) ] in
+  let ill = "segfault: Interp: ill-typed binop" in
+  case ~what:"float + int" ~expect:ill (cf 1.5) (ci 2) (bin Ast.Add);
+  case ~what:"int * bool" ~expect:ill (ci 3) (cb true) (bin Ast.Mul);
+  case ~what:"bool < bool" ~expect:ill (cb false) (cb true) (bin Ast.Lt);
+  case ~what:"null land int" ~expect:ill B.Cnull (ci 1) (bin Ast.Band);
+  case ~what:"float shl int" ~expect:ill (cf 2.0) (ci 1) (bin Ast.Shl);
+  case ~what:"int land bool" ~expect:ill (ci 1) (cb true) (bin Ast.Land);
+  (* mixed operands that do not fail: ARM division by an int zero *)
+  case ~what:"float / int 0" ~expect:"ret 0" (cf 2.5) (ci 0) (bin Ast.Div);
+  case ~what:"float % int 0" ~expect:"ret 2.5" (cf 2.5) (ci 0) (bin Ast.Rem);
+  case ~what:"float = int" ~expect:"ret false" (cf 1.0) (ci 1) (bin Ast.Eq);
+  case ~what:"float = float" ~expect:"ret true" (cf 1.0) (cf 1.0) (bin Ast.Eq);
+  case ~what:"bool <> bool" ~expect:"ret true" (cb true) (cb false)
+    (bin Ast.Ne);
+  case ~what:"bool lor bool" ~expect:"ret true" (cb true) (cb false)
+    (bin Ast.Lor);
+  case ~what:"bool land bool" ~expect:"ret false" (cb true) (cb false)
+    (bin Ast.Land);
+  case ~what:"float < float" ~expect:"ret true" (cf 1.0) (cf 2.0)
+    (bin Ast.Lt);
+  case ~what:"int % int 0" ~expect:"ret 5" (ci 5) (ci 0) (bin Ast.Rem);
+  case ~what:"int / int 0" ~expect:"ret 0" (ci 5) (ci 0) (bin Ast.Div);
+  (* guards and accesses reached by the wrong type *)
+  case ~what:"bounds guard on a float index"
+    ~expect:"segfault: Value.to_int: float" (cf 1.0) (ci 4)
+    [ Hir.GuardBounds (0, 1) ];
+  case ~what:"bounds guard on a ref length"
+    ~expect:"segfault: Value.to_int: ref" (ci 1) B.Cnull
+    [ Hir.GuardBounds (0, 1) ];
+  case ~what:"null guard on a bool"
+    ~expect:"segfault: non-pointer value dereferenced" (cb true) (ci 0)
+    [ Hir.GuardNull 0 ];
+  case ~what:"load through a float"
+    ~expect:"segfault: non-pointer value dereferenced" (cf 8.0) (ci 0)
+    [ Hir.LoadElem (B.Kint, 2, 0, 1) ];
+  case ~what:"neg of a bool" ~expect:"segfault: neg of non-number" (cb true)
+    (ci 0) [ Hir.Unop (Ast.Neg, 2, 0) ];
+  case ~what:"not of a float" ~expect:"segfault: Value.to_bool" (cf 1.0)
+    (ci 0) [ Hir.Unop (Ast.Not, 2, 0) ];
+  case ~what:"i2f of a ref" ~expect:"segfault: Value.to_int: ref" B.Cnull
+    (ci 0) [ Hir.I2f (2, 0) ];
+  (* branches: a compare of mixed types escapes unconverted, and a fused
+     compare-and-branch fails in its compare half *)
+  let ret_two = ([ Hir.Const (2, ci 7) ], Hir.Ret (Some 2)) in
+  let branch ~what ~expect x y term =
+    expect_same ~what ~expect dx
+      (func_of ~mid what
+         [ ([ Hir.Const (0, x); Hir.Const (1, y) ], term); ret_two; ret_two ])
+  in
+  branch ~what:"if int < ref"
+    ~expect:"invalid_argument: Interp: ill-typed comparison" (ci 1) B.Cnull
+    (Hir.If (B.Clt, 0, Some 1, 1, 2, Hir.Predict_none));
+  branch ~what:"if float = float" ~expect:"ret 7" (cf 1.0) (cf 1.0)
+    (Hir.If (B.Ceq, 0, Some 1, 1, 2, Hir.Predict_taken));
+  branch ~what:"if bool against zero" ~expect:"ret 7" (cb true) (ci 0)
+    (Hir.If (B.Cne, 0, None, 1, 2, Hir.Predict_not_taken));
+  expect_same ~what:"cmp-branch on float < bool"
+    ~expect:"segfault: Interp: ill-typed binop" dx
+    (func_of ~mid "cmp_if"
+       [ ( [ Hir.Const (0, cf 1.0); Hir.Const (1, cb false);
+             Hir.Binop (Ast.Lt, 3, 0, 1) ],
+           Hir.If (B.Cne, 3, None, 1, 2, Hir.Predict_none) );
+         ret_two; ret_two ])
+
+(* Run a program under every fuel value from 0 to just past its total
+   cost: at each fuel both engines must agree on finished-vs-hung and on
+   the cycle counter at the moment the verdict fell. *)
+let fuel_sweep ~what dx binary =
+  let run_with_fuel engine fuel =
+    let ctx = Vm.Image.build ~seed:7 ~fuel dx in
+    Blockexec.install ctx (Blockexec.prepare ~engine binary);
+    match Vm.Interp.run_main ctx with
+    | r -> (`Done r, ctx.Ctx.cycles)
+    | exception Ctx.Timeout -> (`Timeout, ctx.Ctx.cycles)
+  in
+  let total =
+    match run_with_fuel Blockexec.Ref max_int with
+    | `Done _, c -> c
+    | `Timeout, _ -> Alcotest.fail (what ^ ": timed out at full fuel")
+  in
+  for fuel = 0 to total + 2 do
+    let vr, cr = run_with_fuel Blockexec.Ref fuel in
+    let vf, cf = run_with_fuel Blockexec.Fused fuel in
+    let verdict = function `Done _ -> "done" | `Timeout -> "timeout" in
+    if vr <> vf then
+      Alcotest.fail
+        (Printf.sprintf "%s, fuel %d: verdicts differ (ref %s, fused %s)" what
+           fuel (verdict vr) (verdict vf));
+    if cr <> cf then
+      Alcotest.fail
+        (Printf.sprintf "%s, fuel %d: cycles at verdict differ (ref %d, \
+                         fused %d)" what fuel cr cf)
+  done;
+  (* sanity: the sweep actually crossed the boundary *)
+  Alcotest.(check bool) (what ^ ": low fuel times out") true
+    (fst (run_with_fuel Blockexec.Fused 1) = `Timeout);
+  Alcotest.(check bool) (what ^ ": full fuel finishes") true
+    (match run_with_fuel Blockexec.Fused total with
+     | `Done _, _ -> true
+     | `Timeout, _ -> false)
+
+(* Branch charges come in two steps (branch + fetch, then the hint's
+   misprediction charge) and the compare of a fused compare-and-branch is
+   charged before either: the fuel can run out at each of the three. *)
+let test_branch_fuel_edges () =
+  let dx = host_dx () in
+  let mid = dx.B.dx_main in
+  let ret_const k = ([ Hir.Const (2, B.Cint k) ], Hir.Ret (Some 2)) in
+  let sweep ~what x y body_insns term =
+    let f =
+      func_of ~mid what
+        [ (Hir.Const (0, x) :: Hir.Const (1, y) :: body_insns, term);
+          ret_const 1; ret_const 2 ]
+    in
+    fuel_sweep ~what dx (Binary.create [ f ])
+  in
+  List.iter
+    (fun (hint, hname) ->
+       sweep ~what:("cmp-branch int, " ^ hname) (B.Cint 1) (B.Cint 2)
+         [ Hir.Binop (Ast.Lt, 3, 0, 1) ]
+         (Hir.If (B.Cne, 3, None, 1, 2, hint));
+       sweep ~what:("cmp-branch float, " ^ hname) (B.Cfloat 1.0)
+         (B.Cfloat 2.0)
+         [ Hir.Binop (Ast.Ge, 3, 0, 1) ]
+         (Hir.If (B.Cne, 3, None, 1, 2, hint));
+       sweep ~what:("branch, " ^ hname) (B.Cint 1) (B.Cint 2) []
+         (Hir.If (B.Clt, 0, Some 1, 1, 2, hint)))
+    [ (Hir.Predict_none, "no hint"); (Hir.Predict_taken, "taken");
+      (Hir.Predict_not_taken, "not taken") ]
+
+(* A function naming a register outside its file has no range proof
+   ([fp_regs_ok = false]): it runs on checked boxed bodies throughout,
+   both where it never touches the bad register and where it does. *)
+let test_regs_not_ok () =
+  let dx = host_dx () in
+  let mid = dx.B.dx_main in
+  let f ~touch =
+    let f =
+      func_of ~nregs:4 ~mid "bad_regs"
+        [ ( [ Hir.Const (0, B.Cint 3); Hir.Const (1, B.Cint 4);
+              Hir.Binop (Ast.Add, 2, 0, 1) ],
+            Hir.If (B.Cne, 0, None, (if touch then 2 else 1), 2,
+                    Hir.Predict_none) );
+          ([ Hir.Move (3, 2) ], Hir.Ret (Some 3));
+          ([ Hir.Move (9, 2) ], Hir.Ret (Some 9)) ]
+    in
+    (* Analysis.pressure tolerates the bad register, but keep it out of
+       the picture *)
+    f.Hir.f_pressure <- Some 0;
+    f
+  in
+  let plan =
+    Blockplan.build Vm.Cost.default (Binary.create [ f ~touch:false ])
+  in
+  Alcotest.(check bool) "plan has no range proof" false
+    (Hashtbl.find plan.Blockplan.pl_funcs mid).Blockplan.fp_regs_ok;
+  expect_same ~what:"bad register untouched" ~expect:"ret 7" dx
+    (f ~touch:false);
+  expect_same ~what:"bad register written"
+    ~expect:"segfault: index out of bounds" dx (f ~touch:true);
+  fuel_sweep ~what:"bad register untouched" dx
+    (Binary.create [ f ~touch:false ])
+
 (* ------------------ pinned: fuel death inside a block --------------- *)
 
 (* A long straight-line block (the exact shape the headroom hoist targets)
    run under every fuel value around its total cost: at each fuel the
    engines must agree on finished-vs-hung *and* on the cycle counter at
    the moment the verdict fell — the reference charges per instruction, so
-   any sloppiness in the fused engine's flush-on-Timeout shows up here. *)
+   any sloppiness in the fused engine's charging shows up here. *)
 let test_fuel_exhaustion_mid_block () =
   let src =
     "class Main { static int main() { \
@@ -322,39 +528,29 @@ let test_fuel_exhaustion_mid_block () =
        return a + b + c; } }"
   in
   let dx = Repro_dex.Lower.compile src in
-  let binary = Lir.Compile.android_binary dx (List.map (fun m -> m.B.cm_id) (Array.to_list dx.B.dx_methods)) in
-  (* total cost of the whole program under the reference engine *)
-  let total =
-    let ctx = Vm.Image.build ~seed:7 dx in
-    Exec.install ctx binary;
-    ignore (Vm.Interp.run_main ctx);
-    ctx.Ctx.cycles
+  let mids = List.map (fun m -> m.B.cm_id) (Array.to_list dx.B.dx_methods) in
+  fuel_sweep ~what:"straight-line block" dx
+    (Lir.Compile.android_binary dx mids);
+  (* a goto chain straightened into one stream of fused pairs: below its
+     headroom the stream runs the boxed bodies, seams and pairs included *)
+  let dx = host_dx () in
+  let chain =
+    func_of ~nregs:10 ~mid:dx.B.dx_main "chain"
+      [ ( [ Hir.Const (0, B.Cint 4); Hir.NewArr (1, B.Kint, 0);
+            Hir.Const (2, B.Cint 1) ],
+          Hir.Goto 1 );
+        ( [ Hir.GuardNull 1; Hir.LoadLen (3, 1); Hir.GuardBounds (2, 3);
+            Hir.LoadElem (B.Kint, 4, 1, 2); Hir.Binop (Ast.Add, 5, 4, 2) ],
+          Hir.Goto 2 );
+        ( [ Hir.GuardBounds (2, 3); Hir.StoreElem (B.Kint, 1, 2, 5);
+            Hir.Move (6, 5) ],
+          Hir.Goto 3 );
+        ( [ Hir.LoadElem (B.Kint, 7, 1, 2); Hir.Binop (Ast.Mul, 8, 7, 6) ],
+          Hir.Ret (Some 8) ) ]
   in
-  let run_with_fuel engine fuel =
-    let ctx = Vm.Image.build ~seed:7 ~fuel dx in
-    Blockexec.install ctx (Blockexec.prepare ~engine binary);
-    match Vm.Interp.run_main ctx with
-    | r -> (`Done r, ctx.Ctx.cycles)
-    | exception Ctx.Timeout -> (`Timeout, ctx.Ctx.cycles)
-  in
-  for fuel = 0 to total + 2 do
-    let vr, cr = run_with_fuel Blockexec.Ref fuel in
-    let vf, cf = run_with_fuel Blockexec.Fused fuel in
-    if vr <> vf then
-      Alcotest.fail
-        (Printf.sprintf "fuel %d: verdicts differ (ref %s, fused %s)" fuel
-           (match vr with `Done _ -> "done" | `Timeout -> "timeout")
-           (match vf with `Done _ -> "done" | `Timeout -> "timeout"));
-    if cr <> cf then
-      Alcotest.fail
-        (Printf.sprintf "fuel %d: cycles at verdict differ (ref %d, fused %d)"
-           fuel cr cf)
-  done;
-  (* sanity: the sweep actually crossed the boundary *)
-  Alcotest.(check bool) "low fuel times out" true
-    (fst (run_with_fuel Blockexec.Fused 1) = `Timeout);
-  Alcotest.(check bool) "full fuel finishes" true
-    (match run_with_fuel Blockexec.Fused total with `Done _, _ -> true | _ -> false)
+  Alcotest.(check bool) "chain pairs fuse" true
+    (fused_count (Hir.copy chain) >= 4);
+  fuel_sweep ~what:"straightened chain" dx (Binary.create [ chain ])
 
 (* ------------- pinned: guard-stripped genome, K>=2 corpus ----------- *)
 
@@ -511,6 +707,34 @@ let test_sampling_fallback () =
   Alcotest.(check bool) "sample streams identical" true (sr = sf);
   Alcotest.(check bool) "samples were taken" true (sr <> [])
 
+(* --------------------- whole-program measurement -------------------- *)
+
+(* [measure_speedups] runs unsampled on prepared code, so under the fused
+   default it executes on the compiled engine: its cycle means, and with
+   them every printed speedup, must not depend on the engine. *)
+let test_speedups_engine_independent () =
+  let cfg =
+    { Repro_search.Ga.quick_config with
+      Repro_search.Ga.population = 6; generations = 2; max_identical = 30 }
+  in
+  List.iter
+    (fun name ->
+       let app, co, _ = fixture name in
+       let opt = Pipeline.optimize ~seed:3 ~cfg app co.Pipeline.co_primary in
+       let speedups engine =
+         let prev = Blockexec.default_engine () in
+         Blockexec.set_default_engine engine;
+         Fun.protect
+           ~finally:(fun () -> Blockexec.set_default_engine prev)
+           (fun () -> Pipeline.measure_speedups ~runs:2 app opt)
+       in
+       let r = speedups Blockexec.Ref and f = speedups Blockexec.Fused in
+       Alcotest.(check bool) (name ^ ": speedups records identical") true
+         (r = f);
+       Alcotest.(check bool) (name ^ ": GA binary measured") true
+         (f.Pipeline.ga_cycles > 0.0))
+    [ "FFT"; "MaterialLife" ]
+
 (* -------------------------------------------------------------------- *)
 
 let () =
@@ -524,6 +748,12 @@ let () =
            test_missing_block;
          Alcotest.test_case "fuel exhaustion mid-block" `Quick
            test_fuel_exhaustion_mid_block;
+         Alcotest.test_case "type fallbacks match the reference" `Quick
+           test_type_fallbacks;
+         Alcotest.test_case "branch charges at the fuel edge" `Quick
+           test_branch_fuel_edges;
+         Alcotest.test_case "no register-range proof" `Quick
+           test_regs_not_ok;
          Alcotest.test_case "guard-stripped killed identically" `Quick
            test_guard_stripped_killed_identically;
          Alcotest.test_case "executor faults through both engines" `Quick
@@ -535,4 +765,7 @@ let () =
            test_install_rejects_other_cost_model ]);
       ("profiler",
        [ Alcotest.test_case "sampling falls back to reference" `Quick
-           test_sampling_fallback ]) ]
+           test_sampling_fallback ]);
+      ("measurement",
+       [ Alcotest.test_case "speedups identical across engines" `Quick
+           test_speedups_engine_independent ]) ]
