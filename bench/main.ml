@@ -33,10 +33,6 @@
                                     shared pool, throughput vs admission
                                     width, kill/resume overhead
                                     (writes BENCH_serve.json)
-     bench/main.exe --no-stage-cache  disable the pass-prefix stage cache
-                                    (results identical, only compile time)
-     bench/main.exe --engine E      replay engine for the experiments:
-                                    fused (default) or ref
      bench/main.exe --trace FILE    record a Chrome trace_event JSON trace
      bench/main.exe --metrics       print a span/counter summary table
      bench/main.exe --faults SPEC   arm deterministic fault injection
@@ -360,7 +356,7 @@ let storage_bench () =
       [ "FFT"; "LU" ]
   in
   let fill storage =
-    List.iter (fun (_, snap) -> Snapshot.store storage snap) snaps
+    List.iter (fun (_, snap) -> ignore (Snapshot.store storage snap)) snaps
   in
   (* spool path: enqueue both captures, then hash+dedup+store every page *)
   let reference = Storage.create () in
@@ -497,8 +493,10 @@ let corpus_bench () =
   in
   (* storage cost of the corpus: K snapshots of one app, deduped *)
   let storage = Storage.create () in
-  Snapshot.store storage co.P.co_primary.P.snapshot;
-  List.iter (fun ce -> Snapshot.store storage ce.P.ce_snapshot) co.P.co_entries;
+  ignore (Snapshot.store storage co.P.co_primary.P.snapshot);
+  List.iter
+    (fun ce -> ignore (Snapshot.store storage ce.P.ce_snapshot))
+    co.P.co_entries;
   Storage.flush storage;
   let ac = Storage.accounting storage in
   let dedup_ratio =
@@ -828,13 +826,11 @@ let compile_bench () =
   let parent_cost g =
     (* total recorded pass work of a parent, read back from the stage
        cache warmed below; 0 when the compile aborted (no full entry) *)
-    let fps = Stagecache.fingerprints ~frontend:(Compile.frontend_digest fe)
-        (Genome.to_spec g)
-    in
+    let frontend = Option.get (Compile.frontend_digest fe) in
+    let fps = Stagecache.fingerprints ~frontend (Genome.to_spec g) in
     List.fold_left
       (fun acc mid ->
-         match Stagecache.lookup ~frontend:(Compile.frontend_digest fe) ~mid
-                 ~fps with
+         match Stagecache.lookup ~frontend ~mid ~fps with
          | Some (k, e) when k = Array.length fps ->
            acc + Array.fold_left ( + ) 0 e.Stagecache.sc_charges
          | _ -> acc)
@@ -859,7 +855,10 @@ let compile_bench () =
     | exception Compile.Compile_error msg -> "error:" ^ msg
     | exception Compile.Compile_timeout -> "timeout"
   in
-  let staged g () = Compile.llvm_binary_staged fe (Genome.to_spec g) region in
+  let staged_on fe g () =
+    Compile.llvm_binary_staged fe (Genome.to_spec g) region
+  in
+  let staged = staged_on fe in
   let legacy g () =
     Compile.llvm_binary ~profile dx (Genome.to_spec g) region
   in
@@ -923,12 +922,12 @@ let compile_bench () =
     time_gen2 ~iters ~prepare:(fun () -> ())
       (fun () -> compile_all legacy children)
   in
-  Stagecache.set_enabled false;
+  (* the hoisted front end without the stage cache: a keyless twin of [fe] *)
+  let fe_keyless = Compile.frontend ~profile ~prewarm:region dx in
   let nocache_ns =
     time_gen2 ~iters ~prepare:(fun () -> ())
-      (fun () -> compile_all staged children)
+      (fun () -> compile_all (staged_on fe_keyless) children)
   in
-  Stagecache.set_enabled true;
   (* first visit: generation 2 compiled with only generation 1 cached —
      partial prefix reuse, and exact re-proposals resume every method
      from its full-length prefix *)
@@ -1458,8 +1457,7 @@ let () =
   let usage () =
     prerr_endline
       "usage: bench/main.exe [EXPERIMENT...] [--full] [--eager] [-j N] \
-       [--no-cache] [--no-stage-cache] [--engine ref|fused] [--trace FILE] \
-       [--metrics] [--faults SPEC]";
+       [--no-cache] [--trace FILE] [--metrics] [--faults SPEC]";
     exit 2
   in
   let rec parse = function
@@ -1467,19 +1465,7 @@ let () =
     | "--full" :: rest -> full := true; parse rest
     | "--eager" :: rest -> eager := true; parse rest
     | "--no-cache" :: rest -> no_cache := true; parse rest
-    | "--no-stage-cache" :: rest ->
-      Repro_lir.Stagecache.set_enabled false;
-      parse rest
     | "--metrics" :: rest -> metrics := true; parse rest
-    | "--engine" :: e :: rest ->
-      (match Repro_lir.Blockexec.engine_of_string e with
-       | Some eng -> Repro_lir.Blockexec.set_default_engine eng; parse rest
-       | None ->
-         Printf.eprintf "bench: --engine expects ref or fused, got %s\n" e;
-         usage ())
-    | [ "--engine" ] ->
-      prerr_endline "bench: --engine expects ref or fused";
-      usage ()
     | "--trace" :: file :: rest -> trace := Some file; parse rest
     | [ "--trace" ] ->
       prerr_endline "bench: --trace expects a file name";

@@ -60,16 +60,6 @@ let no_stage_cache_arg =
                replay their recorded work charges, so even compile-timeout \
                classification is unchanged; only compile time differs.")
 
-let with_stage_cache disabled f =
-  if not disabled then f ()
-  else begin
-    let prev = Repro_lir.Stagecache.enabled () in
-    Repro_lir.Stagecache.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Repro_lir.Stagecache.set_enabled prev)
-      f
-  end
-
 let engine_conv =
   let parse s =
     match Repro_lir.Blockexec.engine_of_string s with
@@ -87,13 +77,6 @@ let engine_arg =
                default) or $(b,ref) (per-instruction reference). The two \
                are bit-identical in results, cycle counts and search \
                histories; only wall-clock time differs.")
-
-let with_engine engine f =
-  let prev = Repro_lir.Blockexec.default_engine () in
-  Repro_lir.Blockexec.set_default_engine engine;
-  Fun.protect
-    ~finally:(fun () -> Repro_lir.Blockexec.set_default_engine prev)
-    f
 
 let trace_arg =
   Arg.(value & opt (some string) None
@@ -173,19 +156,15 @@ let store_arg =
                storage accounting table is printed at the end. Results \
                are byte-identical with and without the store.")
 
-(* Attach a fresh device store for the command's body; print the
-   accounting table and detach afterwards — also on error exits. *)
+(* Hand the command's body a fresh device store when [enabled]; print its
+   accounting table afterwards — also on error exits. *)
 let with_store enabled f =
-  if not enabled then f ()
+  if not enabled then f None
   else begin
     let storage = Storage.create () in
-    Snapshot.set_store (Some storage);
     Fun.protect
-      ~finally:(fun () ->
-          print_storage_table storage;
-          Snapshot.set_store None;
-          Snapshot.invalidate_templates ())
-      f
+      ~finally:(fun () -> print_storage_table storage)
+      (fun () -> f (Some storage))
   end
 
 (* --------------------------- fault injection ------------------------ *)
@@ -453,12 +432,10 @@ let optimize_cmd =
   let run app seed full jobs no_cache no_stage_cache engine trace metrics
       faults store corpus_k checkpoint ckpt_abort =
     with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
-    with_store store @@ fun () ->
+    with_store store @@ fun store ->
     with_faults faults @@ fun () ->
     let cfg = if full then Ga.default_config else Ga.quick_config in
-    match Pipeline.capture_corpus ~seed ~k:corpus_k app with
+    match Pipeline.capture_corpus ~seed ?store ~k:corpus_k app with
     | None -> print_endline "no replayable hot region: nothing to optimize"
     | Some co ->
       let cap = co.Pipeline.co_primary in
@@ -471,8 +448,9 @@ let optimize_cmd =
                 co.Pipeline.co_entries));
       let session =
         Pipeline.start_search ~seed:(seed + 13) ~cfg ~jobs
-          ~cache:(not no_cache) ~corpus:co.Pipeline.co_entries
-          ?checkpoint ?abort_after:ckpt_abort app cap
+          ~cache:(not no_cache) ~corpus:co.Pipeline.co_entries ~engine
+          ~stage_cache:(not no_stage_cache) ?checkpoint
+          ?abort_after:ckpt_abort app cap
       in
       print_session_warnings (Pipeline.session_warnings session);
       let opt =
@@ -562,11 +540,9 @@ let ckpt_dir_arg =
                byte-identical history. The directory must exist.")
 
 let serve_cmd =
-  let run apps seed full jobs no_cache no_stage_cache engine trace metrics
-      max_active queue_capacity ckpt_dir ckpt_abort =
+  let run apps seed full jobs no_cache trace metrics max_active
+      queue_capacity ckpt_dir ckpt_abort =
     with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
     let cfg = if full then Ga.default_config else Ga.quick_config in
     let max_active = Option.value max_active ~default:(List.length apps) in
     let t =
@@ -639,9 +615,8 @@ let serve_cmd =
              fairness, admission control and per-tenant crash-safe \
              checkpoints.")
     Term.(const run $ serve_apps_arg $ seed_arg $ full_arg $ jobs_arg
-          $ no_cache_arg $ no_stage_cache_arg $ engine_arg $ trace_arg
-          $ metrics_arg $ max_active_arg $ queue_arg $ ckpt_dir_arg
-          $ ckpt_abort_arg)
+          $ no_cache_arg $ trace_arg $ metrics_arg $ max_active_arg
+          $ queue_arg $ ckpt_dir_arg $ ckpt_abort_arg)
 
 (* ------------------------------ fleet ------------------------------ *)
 
@@ -695,11 +670,9 @@ let sched_seed_arg =
                determinism contract the fleet smoke test asserts.")
 
 let fleet_cmd =
-  let run app seed full jobs no_cache no_stage_cache engine trace metrics
-      devices gens bank_file sched_seed corpus_k =
+  let run app seed full jobs no_cache trace metrics devices gens bank_file
+      sched_seed corpus_k =
     with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
     let ga_base = if full then Ga.default_config else Ga.quick_config in
     let ga_cfg =
       match gens with
@@ -773,8 +746,8 @@ let fleet_cmd =
              search history is byte-identical across -j, --sched-seed \
              and availability interleaving.")
     Term.(const run $ app_arg $ seed_arg $ full_arg $ jobs_arg $ no_cache_arg
-          $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg
-          $ devices_arg $ gens_arg $ bank_arg $ sched_seed_arg $ corpus_arg)
+          $ trace_arg $ metrics_arg $ devices_arg $ gens_arg $ bank_arg
+          $ sched_seed_arg $ corpus_arg)
 
 (* ----------------------------- storage ----------------------------- *)
 
@@ -801,47 +774,39 @@ let storage_cmd =
       | apps -> apps
     in
     let storage = Storage.create () in
-    Snapshot.set_store (Some storage);
-    Fun.protect
-      ~finally:(fun () ->
-          Snapshot.set_store None;
-          Snapshot.invalidate_templates ())
-      (fun () ->
-         List.iter
-           (fun app ->
-              match Pipeline.capture_once ~seed app with
-              | None ->
-                Printf.printf "%s: no replayable hot region, skipped\n"
-                  app.App.name
-              | Some cap ->
-                let snap = cap.Pipeline.snapshot in
-                Printf.printf
-                  "%s: captured %d program-specific + %d boot-common pages \
-                   (%d queued for idle spooling)\n"
-                  app.App.name
-                  (List.length snap.Repro_capture.Snapshot.snap_pages)
-                  (List.length snap.Repro_capture.Snapshot.snap_common)
-                  (Storage.pending storage))
-           apps;
-         print_endline
-           "\nFigure 11-style storage accounting (content-addressed, \
-            deduplicated):";
-         print_storage_table storage;
-         match save with
-         | None -> ()
-         | Some file ->
-           Storage.save storage file;
-           let size =
-             In_channel.with_open_bin file In_channel.length
-             |> Int64.to_int
-           in
-           Printf.printf "saved to %s (%.2f MB on disk)\n" file (mb size);
-           let reloaded, warnings = Storage.load file in
-           List.iter (fun w -> Printf.printf "  load warning: %s\n" w) warnings;
-           Printf.printf "reload: %d blobs, %.2f MB physical, %d warnings\n"
-             (List.length (Storage.labels reloaded))
-             (mb (Storage.physical_bytes reloaded))
-             (List.length warnings))
+    List.iter
+      (fun app ->
+         match Pipeline.capture_once ~seed ~store:storage app with
+         | None ->
+           Printf.printf "%s: no replayable hot region, skipped\n" app.App.name
+         | Some cap ->
+           let snap = cap.Pipeline.snapshot in
+           Printf.printf
+             "%s: captured %d program-specific + %d boot-common pages \
+              (%d queued for idle spooling)\n"
+             app.App.name
+             (List.length snap.Snapshot.snap_pages)
+             (List.length snap.Snapshot.snap_common)
+             (Storage.pending storage))
+      apps;
+    print_endline
+      "\nFigure 11-style storage accounting (content-addressed, \
+       deduplicated):";
+    print_storage_table storage;
+    match save with
+    | None -> ()
+    | Some file ->
+      Storage.save storage file;
+      let size =
+        In_channel.with_open_bin file In_channel.length |> Int64.to_int
+      in
+      Printf.printf "saved to %s (%.2f MB on disk)\n" file (mb size);
+      let reloaded, warnings = Storage.load file in
+      List.iter (fun w -> Printf.printf "  load warning: %s\n" w) warnings;
+      Printf.printf "reload: %d blobs, %.2f MB physical, %d warnings\n"
+        (List.length (Storage.labels reloaded))
+        (mb (Storage.physical_bytes reloaded))
+        (List.length warnings)
   in
   Cmd.v
     (Cmd.info "storage"
@@ -868,9 +833,8 @@ let experiment_cmd =
          & info [ "eager" ]
            ~doc:"Figure 10 ablation: CERE-style eager page copying.")
   in
-  let run name full eager jobs no_cache engine trace metrics faults =
+  let run name full eager jobs no_cache trace metrics faults =
     with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
     with_faults faults @@ fun () ->
     let cfg = if full then Ga.default_config else Ga.quick_config in
     let cache = not no_cache in
@@ -894,7 +858,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables or figures.")
     Term.(const run $ name_arg $ full_arg $ eager_arg $ jobs_arg $ no_cache_arg
-          $ engine_arg $ trace_arg $ metrics_arg $ faults_arg)
+          $ trace_arg $ metrics_arg $ faults_arg)
 
 (* ----------------------------- disasm ------------------------------ *)
 

@@ -40,6 +40,7 @@ type result = {
 
 val capture_region :
   app:string ->
+  ?eager:bool ->
   ?harvest_on_exn:bool ->
   Repro_vm.Exec_ctx.t -> mid:int -> args:Repro_vm.Value.t list ->
   run:(unit -> Repro_vm.Value.t option) ->
@@ -52,9 +53,8 @@ val capture_region :
     is set, in which case the snapshot is still harvested (the forked
     child's pages predate the region, so the trap cannot corrupt them)
     and the exception is returned in [region_exn].  Corpus capture uses
-    this for adversarial inputs on which the region itself traps. *)
+    this for adversarial inputs on which the region itself traps.
 
-val eager_mode : bool ref
-(** Ablation (CERE-style capture, §6): when set, every recorded page is
-    copied at fault time in user space instead of relying on kernel
-    Copy-on-Write, inflating the in-region overhead.  Default false. *)
+    [eager] (default false) is the CERE-style ablation of §6: every
+    recorded page is copied at fault time in user space instead of
+    relying on kernel Copy-on-Write, inflating the in-region overhead. *)

@@ -117,9 +117,10 @@ let storage_reason (snap : Snapshot.t) e =
    machinery that guards real corruption: the injected fault is only
    observed if the store *detects* it, and the resulting error string
    (prefix "storage:") is what the quarantine policy keys on.  Only
-   meaningful when a store is attached and holds this snapshot's blob. *)
+   meaningful when the snapshot was stored and its store still holds the
+   blob. *)
 let inject_store_faults ~key (snap : Snapshot.t) =
-  match Snapshot.current_store () with
+  match snap.Snapshot.snap_store with
   | None -> None
   | Some storage ->
     let label = Snapshot.program_label snap in
@@ -166,7 +167,7 @@ let perturb_args ~key args =
   end
   else args
 
-let run ?(fuel = default_fuel) ?record_vcall ?faults_key
+let run ?(fuel = default_fuel) ?record_vcall ?on_block ?faults_key
     (dx : B.dexfile) (snap : Snapshot.t) version =
   Trace.span ~cat:"replay"
     ~args:[ ("app", snap.Snapshot.snap_app) ]
@@ -241,9 +242,8 @@ let run ?(fuel = default_fuel) ?record_vcall ?faults_key
       ~statics_base:statics_map.Mem.map_base
   in
   ctx.Ctx.alloc_since_gc <- snap.Snapshot.snap_alloc_since_gc;
-  (match record_vcall with
-   | Some h -> ctx.Ctx.record_vcall <- Some h
-   | None -> ());
+  ctx.Ctx.record_vcall <- record_vcall;
+  ctx.Ctx.on_block <- on_block;
   (* 4) choose and execute the code version *)
   (match version with
    | Interpreter -> Interp.install ctx

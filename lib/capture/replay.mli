@@ -32,6 +32,7 @@ val loader_pages : int
 val run :
   ?fuel:int ->
   ?record_vcall:(Typeprof.site -> int -> unit) ->
+  ?on_block:(int -> int -> int -> unit) ->
   ?faults_key:int ->
   Repro_dex.Bytecode.dexfile -> Snapshot.t -> code_version -> run
 (** Default fuel: 200M cycles (a replay that runs 100x longer than any
@@ -43,6 +44,12 @@ val run :
     bit-identical in every observable — results, cycles, memory, failure
     classification — so the choice never affects figures, only wall-clock
     replay time.  Replays always run under {!Repro_vm.Cost.default}.
+
+    [on_block] becomes the context's [on_block] hook
+    ({!Repro_vm.Exec_ctx.t}): both engines fire it at every compiled
+    block entry with (method id, block id, cycles so far), so a
+    differential test can name the first block where two replays part
+    ways.
 
     [faults_key] opts this replay into the fault-injection net
     ([Repro_util.Faults]): the replay runs inside a fault scope with that

@@ -16,6 +16,7 @@ type t = {
   snap_code_files : (string * int) list;
   snap_heap_next : int;
   snap_alloc_since_gc : int;
+  snap_store : Storage.t option;
 }
 
 let program_bytes t = List.length t.snap_pages * Mem.page_size
@@ -33,15 +34,10 @@ let store storage t =
      per-app blob: identical runtime pages dedup to shared frames in the
      content-addressed store, which is exactly the Figure 11 sharing. *)
   Storage.write storage ~label:(program_label t) ~pages:(page_list t.snap_pages);
-  Storage.write storage ~label:(common_label t) ~pages:(page_list t.snap_common)
+  Storage.write storage ~label:(common_label t) ~pages:(page_list t.snap_common);
+  { t with snap_store = Some storage }
 
 let discard storage t = Storage.delete storage ~label:(program_label t)
-
-(* The device store, when one is attached (bin/repro --store, fig11).  Set
-   on the main domain before a search starts; workers only read it. *)
-let store_ref : Storage.t option Atomic.t = Atomic.make None
-let set_store s = Atomic.set store_ref s
-let current_store () = Atomic.get store_ref
 
 (* ------------------------- snapshot templates ------------------------ *)
 
@@ -63,12 +59,12 @@ let templates : Mem.t Bounded.t Domain.DLS.key =
 
 let invalidate_templates () = Bounded.clear (Domain.DLS.get templates)
 
-(* page images for the template: from the attached store when this
-   snapshot's blobs are in it (checksum-validated read; failures raise
-   [Storage.Integrity], which the replay loader converts into a crashed
-   replay for the quarantine policy), else the in-memory lists *)
+(* page images for the template: from the snapshot's store when its blobs
+   are in it (checksum-validated read; failures raise [Storage.Integrity],
+   which the replay loader converts into a crashed replay for the
+   quarantine policy), else the in-memory lists *)
 let template_pages snap =
-  match current_store () with
+  match snap.snap_store with
   | Some storage when Storage.contains storage ~label:(program_label snap) ->
     Trace.incr "storage.template_reads";
     let fetch label =

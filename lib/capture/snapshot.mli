@@ -23,6 +23,11 @@ type t = {
   snap_code_files : (string * int) list; (** mmapped files: path, pages *)
   snap_heap_next : int;                  (** allocator bump pointer *)
   snap_alloc_since_gc : int;             (** GC accounting at capture *)
+  snap_store : Repro_os.Storage.t option;
+  (** the device store the pages were spooled to ({!store}); while it
+      holds this snapshot's blobs, {!template} materializes from it —
+      checksum-validating every page — instead of from the in-memory page
+      lists.  [None] from a fresh capture. *)
 }
 
 val program_bytes : t -> int
@@ -43,24 +48,15 @@ val common_label : t -> string
     Labels are per-app, but the content-addressed store dedups identical
     runtime pages across apps into shared frames — Figure 11's sharing. *)
 
-val store : Repro_os.Storage.t -> t -> unit
+val store : Repro_os.Storage.t -> t -> t
 (** Spool both page sets to device storage (enqueue only; the
-    idle-priority drain between GA evaluation batches does the hashing).
-    Replaces any previous blobs under the same labels. *)
+    idle-priority drain between GA evaluation batches does the hashing)
+    and return the snapshot with [snap_store] set to it.  Replaces any
+    previous blobs under the same labels. *)
 
 val discard : Repro_os.Storage.t -> t -> unit
 (** Release the app-specific capture blob after optimization finishes
     (§5.4); boot-common frames survive while other captures share them. *)
-
-val set_store : Repro_os.Storage.t option -> unit
-(** Attach (or detach, with [None]) the process-wide device store.  While
-    one is attached and holds a snapshot's blobs, {!template} materializes
-    from the store — checksum-validating every page — instead of from the
-    in-memory page lists.  Set it on the main domain before a search
-    starts: templates already cached on a pool's domains keep whatever
-    they were built from. *)
-
-val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
 (** Drop the calling domain's cached templates so the next {!template}

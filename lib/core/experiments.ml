@@ -576,25 +576,19 @@ type fig10_row = {
 }
 
 let fig10 ?(seed = 7) ?(eager = false) ?apps () =
-  let saved = !Capture.eager_mode in
-  Capture.eager_mode := eager;
-  let rows =
-    List.filter_map
-      (fun app ->
-         match Pipeline.capture_once ~seed app with
-         | None -> None
-         | Some cap ->
-           let o = cap.Pipeline.overhead in
-           Some
-             { f10_app = app.App.name;
-               f10_fork = o.Capture.fork_ms;
-               f10_prep = o.Capture.preparation_ms;
-               f10_faults_cow = o.Capture.fault_cow_ms;
-               f10_total = Capture.total_ms o })
-      (apps_of ?apps ())
-  in
-  Capture.eager_mode := saved;
-  rows
+  List.filter_map
+    (fun app ->
+       match Pipeline.capture_once ~seed ~eager app with
+       | None -> None
+       | Some cap ->
+         let o = cap.Pipeline.overhead in
+         Some
+           { f10_app = app.App.name;
+             f10_fork = o.Capture.fork_ms;
+             f10_prep = o.Capture.preparation_ms;
+             f10_faults_cow = o.Capture.fault_cow_ms;
+             f10_total = Capture.total_ms o })
+    (apps_of ?apps ())
 
 let print_fig10 rows =
   print_endline

@@ -68,7 +68,15 @@ type captured = {
   online_with_capture : online;
 }
 
-let capture_once ?(seed = 42) ?(capture_at = 2) app =
+(* Spool a fresh capture's pages to the device store, when the run has
+   one; hashing/dedup happens at the idle-priority drains between GA
+   evaluation batches. *)
+let spool store snap =
+  match store with
+  | Some storage -> Snapshot.store storage snap
+  | None -> snap
+
+let capture_once ?(seed = 42) ?(capture_at = 2) ?eager ?store app =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "capture_once"
   @@ fun () ->
   (* a first run finds the hot region; the capture run targets it *)
@@ -87,7 +95,7 @@ let capture_once ?(seed = 42) ?(capture_at = 2) app =
       if mid = hot_mid then incr entries;
       if mid = hot_mid && !entries = capture_at && !result = None then begin
         let r =
-          Capture.capture_region ~app:app.App.name ctx' ~mid ~args
+          Capture.capture_region ~app:app.App.name ?eager ctx' ~mid ~args
             ~run:(fun () -> base ctx' mid args)
         in
         result := Some r;
@@ -100,14 +108,8 @@ let capture_once ?(seed = 42) ?(capture_at = 2) app =
     (match !result with
      | None -> None
      | Some r ->
-       (* spool the captured pages to the device store, when one is
-          attached; hashing/dedup happens at the idle-priority drains
-          between GA evaluation batches *)
-       (match Snapshot.current_store () with
-        | Some storage -> Snapshot.store storage r.Capture.snapshot
-        | None -> ());
        Some
-         { snapshot = r.Capture.snapshot;
+         { snapshot = spool store r.Capture.snapshot;
            overhead = r.Capture.overhead;
            hot_mid;
            online_with_capture =
@@ -137,7 +139,7 @@ type corpus = {
    only to be replayed, their online completion is not needed.  The
    capture harvests even when the region traps: the forked child's pages
    predate the region. *)
-let capture_variant app ~seed ~hot_mid input =
+let capture_variant app ~seed ?store ~hot_mid input =
   Trace.span ~cat:"pipeline"
     ~args:[ ("app", app.App.name); ("input", input.App.in_label) ]
     "capture_variant"
@@ -168,31 +170,29 @@ let capture_variant app ~seed ~hot_mid input =
   match !result with
   | None -> None
   | Some r ->
-    (match Snapshot.current_store () with
-     | Some storage -> Snapshot.store storage r.Capture.snapshot
-     | None -> ());
+    let snapshot = spool store r.Capture.snapshot in
     let typeprof = Typeprof.create () in
     (match
        Verify.collect_ref
          ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
-         (App.dexfile app) r.Capture.snapshot
+         (App.dexfile app) snapshot
      with
      | reference ->
        Trace.incr "corpus.captures";
        Some
          { ce_input = input;
-           ce_snapshot = r.Capture.snapshot;
+           ce_snapshot = snapshot;
            ce_reference = reference;
            ce_typeprof = typeprof;
            ce_overhead = r.Capture.overhead }
      | exception Failure _ -> None)
 
-let capture_corpus ?(seed = 42) ~k app =
+let capture_corpus ?(seed = 42) ?store ~k app =
   Trace.span ~cat:"pipeline"
     ~args:[ ("app", app.App.name); ("k", string_of_int k) ]
     "capture_corpus"
   @@ fun () ->
-  match capture_once ~seed app with
+  match capture_once ~seed ?store app with
   | None -> None
   | Some primary ->
     Trace.incr "corpus.captures";
@@ -203,7 +203,7 @@ let capture_corpus ?(seed = 42) ~k app =
     in
     let entries =
       List.filter_map
-        (capture_variant app ~seed ~hot_mid:primary.hot_mid)
+        (capture_variant app ~seed ?store ~hot_mid:primary.hot_mid)
         variants
     in
     Some { co_app = app; co_seed = seed; co_primary = primary;
@@ -281,6 +281,7 @@ type evaluation_env = {
   noise_sigma : float;
   measure_seed : int;
   quarantine : quarantine_log;
+  engine : Blockexec.engine;
 }
 
 (* Offline replays run on an idle device with pinned frequency (§4): the
@@ -312,7 +313,8 @@ let region_binary_android env =
    primary check, with the noise stream of [noise_index]. *)
 let measured_ms env ~noise_index binary =
   match
-    Verify.check env.dx env.capture.snapshot env.vmap (Blockexec.prepare binary)
+    Verify.check env.dx env.capture.snapshot env.vmap
+      (Blockexec.prepare ~engine:env.engine binary)
   with
   | Verify.Passed cycles ->
     Some
@@ -344,7 +346,8 @@ let compile_spec frontend region spec =
   | exception Compile.Compile_timeout -> Error Core_compile_timeout
 
 let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
-    ?(quarantine = global_quarantine) app capture =
+    ?(quarantine = global_quarantine) ?(engine = Blockexec.Fused)
+    ?(stage_cache = true) app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "make_eval_env"
   @@ fun () ->
   let dx = App.dexfile app in
@@ -358,19 +361,25 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
   let region = Regions.compilable_region dx capture.hot_mid in
   (* The genome-independent front-end, hoisted: one template per (app,
      capture, profile), content-keyed so independent environments with the
-     same profile share stage-cache entries, and prewarmed over the region
-     so search-time lookups are read-mostly. *)
+     same profile share stage-cache entries (keyless, and so off the
+     cache, without [stage_cache]), and prewarmed over the region so
+     search-time lookups are read-mostly. *)
+  let key =
+    if stage_cache then
+      Some
+        (Printf.sprintf "app=%s;typeprof=%s" app.App.name
+           (Typeprof.digest typeprof))
+    else None
+  in
   let frontend =
-    Compile.frontend ~profile:(Typeprof.lookup typeprof) ~prewarm:region
-      ~key:(Printf.sprintf "app=%s;typeprof=%s" app.App.name
-              (Typeprof.digest typeprof))
+    Compile.frontend ~profile:(Typeprof.lookup typeprof) ~prewarm:region ?key
       dx
   in
   let env0 =
     { dx; app; capture; vmap; typeprof; region; frontend; corpus;
       android_region_ms = nan; o3_region_ms = nan;
       replays_per_eval = replays; noise_sigma = default_noise_sigma;
-      measure_seed = seed; quarantine }
+      measure_seed = seed; quarantine; engine }
   in
   let ms_of_binary ~noise_index binary =
     Option.value ~default:nan (measured_ms env0 ~noise_index binary)
@@ -434,7 +443,7 @@ let check_corpus env ?site code =
   | bad -> bad
 
 let verify_core env binary =
-  let code = Blockexec.prepare binary in
+  let code = Blockexec.prepare ~engine:env.engine binary in
   let measured cycles =
     Core_measured
       { cycles; size = binary.Binary.size; key = binary_key binary }
@@ -546,8 +555,8 @@ let compile_genome env genome = Result.to_option (compile_core env genome)
    captured — never of when the drain ran. *)
 let idle_drain_chunk = 256
 
-let idle_drain () =
-  match Snapshot.current_store () with
+let idle_drain env =
+  match env.capture.snapshot.Snapshot.snap_store with
   | None -> ()
   | Some storage -> ignore (Storage.drain ~max_pages:idle_drain_chunk storage)
 
@@ -625,7 +634,6 @@ let session_warnings s = List.rev s.ss_warnings
 let session_live_batches s = s.ss_live
 let session_replayed_batches s = s.ss_replayed
 let session_result s = s.ss_result
-let session_env s = s.ss_env
 
 (* Seed the pool's memos with everything the journal already knows: a
    resumed run's live batches then hit the genome/binary memos exactly as
@@ -648,11 +656,14 @@ let seed_pool_from_journal pool batches =
 
 let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?(jobs = 1) ?cache
     ?memo_budget ?pool ?(corpus = []) ?(seed_genomes = []) ?quarantine
-    ?checkpoint ?abort_after app capture =
+    ?engine ?stage_cache ?checkpoint ?abort_after app capture =
   let qlog =
     match quarantine with Some q -> q | None -> global_quarantine
   in
-  let env = make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog app capture in
+  let env =
+    make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog ?engine
+      ?stage_cache app capture
+  in
   let fingerprint =
     run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays:10
   in
@@ -809,7 +820,7 @@ let rec step_once s : step_outcome =
        step_once s
      | [] ->
        let cores = Evalpool.evaluate_batch !(s.ss_pool) tasks in
-       idle_drain ();
+       idle_drain s.ss_env;
        let recorded =
          { Checkpoint.b_cursor = cursor;
            b_tasks =
@@ -846,12 +857,14 @@ let search_step s =
   | exception e -> release (); raise e
 
 let optimize ?seed ?cfg ?jobs ?cache ?memo_budget ?pool ?(corpus = [])
-    ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture =
+    ?seed_genomes ?quarantine ?engine ?stage_cache ?checkpoint ?abort_after
+    app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "optimize"
   @@ fun () ->
   let s =
     start_search ?seed ?cfg ?jobs ?cache ?memo_budget ?pool ~corpus
-      ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture
+      ?seed_genomes ?quarantine ?engine ?stage_cache ?checkpoint ?abort_after
+      app capture
   in
   let rec go () =
     match search_step s with
@@ -903,7 +916,7 @@ let measure_speedups ?(runs = 5) app opt =
   (* only cycles are read, and sampling never charges any: the runs go
      unsampled, so the fused engine executes them *)
   let mean_cycles binary =
-    let code = Blockexec.prepare binary in
+    let code = Blockexec.prepare ~engine:opt.env.engine binary in
     let samples =
       Array.init runs (fun i ->
           float_of_int

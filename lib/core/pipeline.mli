@@ -35,14 +35,18 @@ type captured = {
   online_with_capture : online;
 }
 
-val capture_once : ?seed:int -> ?capture_at:int -> App.t -> captured option
+val capture_once :
+  ?seed:int -> ?capture_at:int -> ?eager:bool ->
+  ?store:Repro_os.Storage.t -> App.t -> captured option
 (** Run online under the Android binary with a capture scheduled for the
     [capture_at]-th entry into the hot region (default 2: captures warm
     state, after first-call initialization); [None] when no replayable hot
-    region exists.  When a device store is attached
-    ({!Repro_capture.Snapshot.set_store}), the captured pages are enqueued
-    to it — content hashing and dedup happen later, at the idle-priority
-    drains between GA evaluation batches. *)
+    region exists.  [eager] selects the CERE-style capture ablation
+    ({!Repro_capture.Capture.capture_region}).  With [store], the captured
+    pages are enqueued to that device store ({!Repro_capture.Snapshot.store})
+    — content hashing and dedup happen later, at the idle-priority drains
+    between GA evaluation batches — and the snapshot's replay templates
+    materialize from it. *)
 
 (** One secondary corpus capture: a distinct input's snapshot, its
     cross-input verification reference (a map, or the reference's own
@@ -66,15 +70,16 @@ type corpus = {
   co_entries : corpus_entry list;   (** in corpus (verification) order *)
 }
 
-val capture_corpus : ?seed:int -> k:int -> App.t -> corpus option
+val capture_corpus :
+  ?seed:int -> ?store:Repro_os.Storage.t -> k:int -> App.t -> corpus option
 (** Capture {!App.input_variants}[ ~seed ~k]: the primary capture exactly
     as {!capture_once}, then one capture per variant input — first entry
     into the same hot region, harvested even when the region traps (the
     adversarial inputs are chosen to do exactly that), online run aborted
     right after the capture.  Variants whose run never reaches the region
     or whose reference replay hangs are dropped, so the corpus may hold
-    fewer than [k] entries.  Snapshots are spooled to the attached device
-    store like the primary's (identical pages — shared boot images —
+    fewer than [k] entries.  With [store], snapshots are spooled to it
+    like the primary's (identical pages — shared boot images —
     dedup to shared frames, which is what makes corpus storage cost
     sublinear in K).  Each capture bumps the [corpus.captures] counter.
     Pure in [(app, seed, k)].  [None] when no replayable hot region
@@ -159,17 +164,24 @@ type evaluation_env = {
       count, batching, or cache state *)
   quarantine : quarantine_log;
   (** where this run's verify/artifact quarantines are recorded *)
+  engine : Repro_lir.Blockexec.engine;
+  (** the engine every replay of this run executes on (the [--engine]
+      knob); result-invariant *)
 }
 
 val make_eval_env :
   ?seed:int -> ?replays:int -> ?corpus:corpus_entry list ->
-  ?quarantine:quarantine_log ->
-  App.t -> captured -> evaluation_env
+  ?quarantine:quarantine_log -> ?engine:Repro_lir.Blockexec.engine ->
+  ?stage_cache:bool -> App.t -> captured -> evaluation_env
 (** Interpreted replay for the verification map and type profile, plus
     baseline replay measurements.  [corpus] (default none) adds secondary
     verification inputs; fitness and baselines stay on the primary
     capture.  [quarantine] (default: {!global_quarantine}) scopes the
-    run's quarantine entries. *)
+    run's quarantine entries.  [engine] (default [Fused]) runs every
+    replay of the run; [stage_cache] (default true) keys the front end
+    into the shared {!Repro_lir.Stagecache} — with [false] the run's
+    compiles never touch it (the [--no-stage-cache] knob).  Both knobs
+    are result-invariant. *)
 
 (** The deterministic part of one evaluation (everything but measurement
     noise): what {!make_pool} memoizes. *)
@@ -269,7 +281,8 @@ val optimize :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
   ?memo_budget:int -> ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
-  ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
+  ?quarantine:quarantine_log -> ?engine:Repro_lir.Blockexec.engine ->
+  ?stage_cache:bool -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> optimized
 (** The full search, including the final hill-climbing step.  [jobs]
     (default 1) evaluates each generation on that many domains, in a
@@ -278,9 +291,10 @@ val optimize :
     (default true) memoizes repeated genomes and binaries (bounded by
     [memo_budget]).  [corpus] makes every candidate verify against the
     secondary inputs too (the corpus verdict folds into the same
-    retry/quarantine policy under fault injection).  Results are
-    identical for every [jobs]/[cache] combination, and independent of
-    corpus evaluation order.
+    retry/quarantine policy under fault injection).  [engine] and
+    [stage_cache] are as in {!make_eval_env}.  Results are identical for
+    every [jobs]/[cache]/[engine]/[stage_cache] combination, and
+    independent of corpus evaluation order.
 
     [checkpoint] arms crash-safe resume: after every live evaluation
     batch the search journal is atomically rewritten to that file, and a
@@ -291,9 +305,9 @@ val optimize :
     batch's checkpoint write.  See {!start_search} for the stepping
     interface this wraps.
 
-    When a device store is attached, a bounded chunk of the spool queue is
-    drained between evaluation batches — the paper's idle-priority flash
-    writer.  Stored contents are a pure function of what was captured, so
+    When the primary capture was stored, a bounded chunk of its store's
+    spool queue is drained between evaluation batches — the paper's
+    idle-priority flash writer.  Stored contents are a pure function of what was captured, so
     spool timing cannot affect search results. *)
 
 (** {1 Stepped (checkpointed) searches}
@@ -311,7 +325,8 @@ val start_search :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
   ?memo_budget:int -> ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
-  ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
+  ?quarantine:quarantine_log -> ?engine:Repro_lir.Blockexec.engine ->
+  ?stage_cache:bool -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> search_session
 (** Build the environment and a suspended search.  With [checkpoint], an
     existing journal is loaded and validated here: a missing file starts
@@ -320,8 +335,8 @@ val start_search :
     about ({!session_warnings}) and ignored; a valid journal seeds the
     eval pool's memos and will be replayed batch-for-batch.  The
     fingerprint covers app, seed, GA config, corpus and warm-start seeds
-    — but deliberately {e not} [jobs]/[cache]/[memo_budget], which are
-    result-invariant: a checkpoint taken at [-j4] resumes at
+    — but deliberately {e not} [jobs]/[cache]/[memo_budget]/[engine]/
+    [stage_cache], which are result-invariant: a checkpoint taken at [-j4] resumes at
     [-j1 --no-cache] and vice versa.
 
     Without [pool] the session creates a [jobs]-worker domain pool, keeps
@@ -342,7 +357,6 @@ val search_step : search_session -> step_outcome
     {!session_result}). *)
 
 val session_result : search_session -> optimized option
-val session_env : search_session -> evaluation_env
 
 val session_warnings : search_session -> string list
 (** Checkpoint damage/mismatch warnings, oldest first. *)
@@ -372,4 +386,4 @@ val measure_speedups :
 (** Whole-program execution outside the replay environment (paper §4): the
     same online runs under the three binaries, averaged over several
     fixed-seed executions.  The runs read only cycles, so they go unsampled
-    on code from {!Repro_lir.Blockexec.prepare} (the default engine). *)
+    on code from {!Repro_lir.Blockexec.prepare} under the run's engine. *)

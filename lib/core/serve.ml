@@ -37,6 +37,7 @@ type t = {
   max_active : int;
   queue_capacity : int;
   abort_after : int option;
+  store : Repro_os.Storage.t option;
   queue : job Queue.t;
   mutable active : job list;        (* admission order *)
   mutable all_rev : job list;       (* submission order, newest first *)
@@ -48,10 +49,11 @@ type t = {
 }
 
 let create ?(jobs = 1) ?(cache = true) ?memo_budget ?(queue_capacity = 16)
-    ?abort_after ~max_active () =
+    ?abort_after ?store ~max_active () =
   if max_active < 1 then invalid_arg "Serve.create: max_active < 1";
   { pool = Domainpool.create ~workers:jobs; cache; memo_budget; max_active;
-    queue_capacity; abort_after; queue = Queue.create (); active = []; all_rev = []; rounds = 0;
+    queue_capacity; abort_after; store; queue = Queue.create (); active = [];
+    all_rev = []; rounds = 0;
     concurrent_rounds = 0; peak_active = 0; live_batches = 0; rejected = 0 }
 
 (* Admission: the capture and search construction run here, on the
@@ -61,7 +63,10 @@ let create ?(jobs = 1) ?(cache = true) ?memo_budget ?(queue_capacity = 16)
 let start_job t job =
   let r = job.j_request in
   Trace.incr "serve.admitted";
-  (match Pipeline.capture_corpus ~seed:r.r_seed ~k:r.r_corpus_k r.r_app with
+  (match
+     Pipeline.capture_corpus ~seed:r.r_seed ?store:t.store ~k:r.r_corpus_k
+       r.r_app
+   with
    | None -> job.j_outcome <- `Failed "no replayable hot region"
    | Some co ->
      (match

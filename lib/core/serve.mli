@@ -41,7 +41,8 @@ type t
 
 val create :
   ?jobs:int -> ?cache:bool -> ?memo_budget:int -> ?queue_capacity:int ->
-  ?abort_after:int -> max_active:int -> unit -> t
+  ?abort_after:int -> ?store:Repro_os.Storage.t -> max_active:int ->
+  unit -> t
 (** A scheduler whose shared domain pool runs [jobs] workers (default 1:
     everything on the calling domain).  At most [max_active] jobs run
     concurrently; further submissions queue up to [queue_capacity]
@@ -49,7 +50,9 @@ val create :
     is the simulated-crash hook: {!drive} raises
     {!Checkpoint.Injected_abort} right after the [n]-th live batch
     {e across all jobs} — immediately after that batch's checkpoint
-    write, exactly where a process kill would land. *)
+    write, exactly where a process kill would land.  [store] is the
+    device store every job's captures are spooled to (none by default);
+    it never changes a digest. *)
 
 type admission = [ `Admitted | `Queued of int | `Rejected ]
 

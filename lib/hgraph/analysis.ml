@@ -94,15 +94,6 @@ let def_count (f : Hir.func) =
         b.Hir.insns);
   counts
 
-let block_freq f g =
-  ignore f;
-  let freq = Hashtbl.create 16 in
-  List.iter
-    (fun bid ->
-       Hashtbl.replace freq bid (10.0 ** float_of_int (Cfg.loop_depth g bid)))
-    (Cfg.nodes g);
-  freq
-
 (* Register pressure: the largest live-out set across the function's
    blocks.  Pure — callers decide whether to cache it in
    [Hir.f_pressure]; mutating that cache from worker domains is a data

@@ -17,9 +17,6 @@ val uses_of_block : Hir.block -> ISet.t
 val def_count : Hir.func -> (int, int) Hashtbl.t
 (** Number of static definitions of each register over the whole function. *)
 
-val block_freq : Hir.func -> Repro_util.Cfg.t -> (int, float) Hashtbl.t
-(** Static execution-frequency estimate: 10^loop-depth. *)
-
 val pressure : Hir.func -> int
 (** Register pressure: the largest live-out set over all blocks.  Pure (no
     caching); see [Hir.f_pressure] for the per-function cache that

@@ -4,8 +4,6 @@ module Cfg = Repro_util.Cfg
 module ISet = Analysis.ISet
 open Hir
 
-let instr_count = Hir.size
-
 (* ------------------------------------------------------------------ *)
 (* Constant evaluation                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -249,11 +247,18 @@ let copy_prop f =
 
 let remove_unreachable f =
   let f = copy f in
-  let g = cfg f in
-  let reachable = Cfg.nodes g in
+  let reachable = Hashtbl.create (Hashtbl.length f.f_blocks) in
+  let rec visit bid =
+    if not (Hashtbl.mem reachable bid) then begin
+      Hashtbl.add reachable bid ();
+      List.iter visit (succs_of_term (block f bid).term)
+    end
+  in
+  visit f.f_entry;
   let all = Hashtbl.fold (fun bid _ acc -> bid :: acc) f.f_blocks [] in
   List.iter
-    (fun bid -> if not (List.mem bid reachable) then Hashtbl.remove f.f_blocks bid)
+    (fun bid ->
+       if not (Hashtbl.mem reachable bid) then Hashtbl.remove f.f_blocks bid)
     all;
   f
 
@@ -645,50 +650,78 @@ let simplify_cfg f =
       match b.insns, b.term with
       | [], Goto t when t <> bid -> Hashtbl.replace redirect bid t
       | _ -> ());
-  let rec resolve bid seen =
-    if List.mem bid seen then bid
-    else
-      match Hashtbl.find_opt redirect bid with
-      | Some t -> resolve t (bid :: seen)
-      | None -> bid
+  (* A jump to [bid] lands at the end of its chain of trivial gotos, or,
+     on a cycle of them, at the first block the walk revisits.  Chain
+     ends are memoized for every block walked past, so threading is
+     linear. *)
+  let ends = Hashtbl.create 8 in
+  let resolve bid =
+    let seen = Hashtbl.create 8 in
+    let rec walk path b =
+      let settle e = List.iter (fun x -> Hashtbl.replace ends x e) path; e in
+      match Hashtbl.find_opt ends b with
+      | Some e -> settle e
+      | None when Hashtbl.mem seen b -> b
+      | None ->
+        (match Hashtbl.find_opt redirect b with
+         | Some t ->
+           Hashtbl.add seen b ();
+           walk (b :: path) t
+         | None -> settle b)
+    in
+    walk [] bid
   in
   iter_blocks f (fun _ b ->
       b.term <-
         (match b.term with
-         | Goto t -> Goto (resolve t [])
-         | If (c, a, o, bt, be, h) -> If (c, a, o, resolve bt [], resolve be [], h)
+         | Goto t -> Goto (resolve t)
+         | If (c, a, o, bt, be, h) -> If (c, a, o, resolve bt, resolve be, h)
          | (Ret _ | ThrowT _) as t -> t));
   (* entry may itself be a trivial goto: keep it (it now points past chains) *)
   let f = remove_unreachable f in
-  (* Merge straight-line pairs: b -> c, c has exactly one predecessor. *)
+  (* Merge straight-line chains: b -> c with c's only predecessor b
+     collapses into b, so each chain collapses into its head.  A merge
+     hands c's out-edges to b, leaving every predecessor count as it was:
+     counted once, they decide every merge. *)
   let f = copy f in
-  let merged = ref true in
-  while !merged do
-    merged := false;
-    let g = cfg f in
-    let candidates =
-      List.filter_map
-        (fun bid ->
-           match Hashtbl.find_opt f.f_blocks bid with
-           | Some b ->
-             (match b.term with
-              | Goto t when t <> bid && t <> f.f_entry
-                         && List.length (Cfg.preds g t) = 1 ->
-                Some (bid, t)
-              | _ -> None)
-           | None -> None)
-        (Cfg.nodes g)
-    in
-    (match candidates with
-     | (bid, t) :: _ ->
-       let b = block f bid in
-       let c = block f t in
-       b.insns <- b.insns @ c.insns;
-       b.term <- c.term;
-       Hashtbl.remove f.f_blocks t;
-       merged := true
-     | [] -> ())
-  done;
+  let npreds = Hashtbl.create (Hashtbl.length f.f_blocks) in
+  iter_blocks f (fun _ b ->
+      List.iter
+        (fun t ->
+           Hashtbl.replace npreds t
+             (1 + Option.value ~default:0 (Hashtbl.find_opt npreds t)))
+        (succs_of_term b.term));
+  let absorbs bid b =
+    match b.term with
+    | Goto t when t <> bid && t <> f.f_entry && Hashtbl.find npreds t = 1 ->
+      Some t
+    | _ -> None
+  in
+  let absorbed = Hashtbl.create 16 in
+  iter_blocks f (fun bid b ->
+      Option.iter (fun t -> Hashtbl.replace absorbed t ()) (absorbs bid b));
+  let heads =
+    Hashtbl.fold
+      (fun bid b acc ->
+         if absorbs bid b <> None && not (Hashtbl.mem absorbed bid) then
+           (bid, b) :: acc
+         else acc)
+      f.f_blocks []
+  in
+  List.iter
+    (fun (bid, head) ->
+       let rec collapse bid b tails =
+         match absorbs bid b with
+         | Some t ->
+           let c = block f t in
+           Hashtbl.remove f.f_blocks t;
+           collapse t c (c.insns :: tails)
+         | None ->
+           head.insns <- List.concat (head.insns :: List.rev tails);
+           head.term <- b.term
+       in
+       collapse bid head [])
+    heads;
   f
 
 (* --------------------------- predict_static ------------------------ *)

@@ -63,10 +63,6 @@ let engine_of_string = function
   | "fused" -> Some Fused
   | _ -> None
 
-let default = Atomic.make Fused
-let default_engine () = Atomic.get default
-let set_default_engine e = Atomic.set default e
-
 (* ---------------------------- the frame ----------------------------- *)
 
 let t_int = '\000'
@@ -76,7 +72,7 @@ let t_ref = '\003'
 
 type frame = {
   ctx : Ctx.t;
-  mid : int;  (* the running method, for the lockstep block hook *)
+  mid : int;  (* the running method, for the lockstep [on_block] hook *)
   tags : Bytes.t;
   ints : int array;  (* payload of int, bool (0/1) and ref registers *)
   flts : Float.Array.t;  (* payload of float registers *)
@@ -155,7 +151,7 @@ let as_ref v =
   | Vfloat _ | Vbool _ -> raise (Exec.Segfault "non-pointer value dereferenced")
 
 let[@inline] fire_hook fr bid =
-  match !Exec.block_hook with
+  match fr.ctx.Ctx.on_block with
   | Some h -> h fr.mid bid fr.ctx.Ctx.cycles
   | None -> ()
 
@@ -994,7 +990,7 @@ let dispatcher cm binary =
 
 type code = Reference of Binary.t | Compiled of compiled * Binary.t
 
-let prepare ?(engine = default_engine ()) binary =
+let prepare ?(engine = Fused) binary =
   match engine with
   | Ref -> Reference binary
   | Fused ->

@@ -23,12 +23,6 @@ type engine = Ref | Fused
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
-val default_engine : unit -> engine
-(** Process-wide default used by {!prepare} when no engine is passed
-    explicitly; starts as [Fused]. *)
-
-val set_default_engine : engine -> unit
-
 type code
 (** A binary made ready to replay under one engine: for [Fused] the
     binary's {!Blockplan} (built once, under {!Repro_vm.Cost.default})
@@ -37,7 +31,8 @@ type code
     ([Pipeline.verify_core] keeps it for one verification). *)
 
 val prepare : ?engine:engine -> Binary.t -> code
-(** [engine] defaults to {!default_engine}[ ()]. *)
+(** [engine] defaults to [Fused]; a search takes its engine from its
+    evaluation environment ([Repro_core.Pipeline.evaluation_env]). *)
 
 val install : Repro_vm.Exec_ctx.t -> code -> unit
 (** Install the code's dispatcher ({!Exec.install} for [Ref]).  The

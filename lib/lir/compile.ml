@@ -13,17 +13,6 @@ type spec = (string * int array) list
 let size_limit = 20_000
 let work_limit = 600_000
 
-(* Test hook: searches always run with the constant above, but the
-   work-limit boundary tests need to park the ceiling exactly on a
-   genome's total charge.  Set/restored sequentially, outside any worker
-   domains. *)
-let effective_work_limit = ref work_limit
-
-let with_work_limit limit f =
-  let prev = !effective_work_limit in
-  effective_work_limit := limit;
-  Fun.protect ~finally:(fun () -> effective_work_limit := prev) f
-
 (* The LLVM path uses the work-in-progress (naive) translation. *)
 let translated_unopt dx mid =
   match Build.func dx mid with
@@ -57,11 +46,9 @@ let android_binary dx mids =
 type frontend = {
   fe_dx : B.dexfile;
   fe_profile : (Hir.site -> (int * int) list) option;
-  fe_digest : string;
-  (** content key of (app, profile): namespaces the stage cache *)
-  fe_cacheable : bool;
-  (** anonymous frontends (the legacy [llvm_binary] entry point) carry a
-      nonce digest and never touch the stage cache *)
+  fe_digest : string option;
+  (** content key of (app, profile), namespacing the stage cache; a
+      keyless front end never touches the cache *)
   fe_lock : Mutex.t;
   fe_funcs : (int, Hir.func option) Hashtbl.t;
 }
@@ -78,7 +65,7 @@ let frontend_func fe mid =
       @@ fun () -> translated_unopt fe.fe_dx mid
     in
     Hashtbl.add fe.fe_funcs mid r;
-    Stagecache.note_frontend_func ();
+    if fe.fe_digest <> None then Stagecache.note_frontend_func ();
     r
 
 let fe_pass_env fe =
@@ -86,11 +73,10 @@ let fe_pass_env fe =
     get_func = (fun mid -> frontend_func fe mid);
     profile = fe.fe_profile }
 
-let frontend ?profile ?(prewarm = []) ~key dx =
+let frontend ?profile ?(prewarm = []) ?key dx =
   let fe =
     { fe_dx = dx; fe_profile = profile;
-      fe_digest = Digest.to_hex (Digest.string key);
-      fe_cacheable = true;
+      fe_digest = Option.map (fun k -> Digest.to_hex (Digest.string k)) key;
       fe_lock = Mutex.create ();
       fe_funcs = Hashtbl.create 64 }
   in
@@ -98,21 +84,6 @@ let frontend ?profile ?(prewarm = []) ~key dx =
   fe
 
 let frontend_digest fe = fe.fe_digest
-
-(* A one-shot front-end for the legacy entry point: still memoizes callee
-   translations within the call (the inliner asks for the same bodies
-   repeatedly), but its nonce digest keeps it out of the shared stage
-   cache — an arbitrary [?profile] closure has no content address. *)
-let fe_nonce = Atomic.make 0
-
-let anonymous_frontend ?profile dx =
-  { fe_dx = dx; fe_profile = profile;
-    fe_digest =
-      Printf.sprintf "anon-%d-%d" (Domain.self () :> int)
-        (Atomic.fetch_and_add fe_nonce 1);
-    fe_cacheable = false;
-    fe_lock = Mutex.create ();
-    fe_funcs = Hashtbl.create 16 }
 
 (* Site key for the [Miscompile] fault point: depends only on the method
    and the (raw) pass specification, so whether a given compile is
@@ -136,7 +107,7 @@ let spec_hash spec =
    recorded charges through the same counter and checks, so timeout
    classification cannot depend on the cache.  Entries are published
    after the checks pass, i.e. only states a real run survives. *)
-let llvm_binary_staged fe spec mids =
+let llvm_binary_staged ?(work_limit = work_limit) fe spec mids =
   Trace.span ~cat:"compile" "compile:llvm" @@ fun () ->
   let env = fe_pass_env fe in
   let resolved =
@@ -150,16 +121,17 @@ let llvm_binary_staged fe spec mids =
          spec)
   in
   let n = Array.length resolved in
-  let use_cache = fe.fe_cacheable && Stagecache.enabled () in
+  let cache_ns = fe.fe_digest in
   let fps =
-    if use_cache then Stagecache.fingerprints ~frontend:fe.fe_digest spec
-    else [||]
+    match cache_ns with
+    | Some frontend -> Stagecache.fingerprints ~frontend spec
+    | None -> [||]
   in
   let work = ref 0 in
   let charge size =
     work := !work + size;
     if size > size_limit then raise Compile_timeout;
-    if !work > !effective_work_limit then raise Compile_timeout
+    if !work > work_limit then raise Compile_timeout
   in
   (* A whole compile is served from cache when every method resumes at
      its full-length prefix. *)
@@ -171,9 +143,8 @@ let llvm_binary_staged fe spec mids =
     | Some f0 ->
       let start, f0, charges0 =
         match
-          if use_cache then
-            Stagecache.lookup ~frontend:fe.fe_digest ~mid ~fps
-          else None
+          Option.bind cache_ns (fun frontend ->
+              Stagecache.lookup ~frontend ~mid ~fps)
         with
         | Some (k, e) ->
           (* Resume after the cached prefix; its recorded charges flow
@@ -198,13 +169,15 @@ let llvm_binary_staged fe spec mids =
         let size = Hir.size f' in
         Trace.add "compile.work" size;
         charge size;
-        Stagecache.note_gene_run ();
         f := f';
         charges := size :: !charges;
-        if use_cache then
-          Stagecache.insert ~frontend:fe.fe_digest ~mid ~fp:fps.(i)
-            { Stagecache.sc_func = f';
-              sc_charges = Array.of_list (List.rev !charges) }
+        Option.iter
+          (fun frontend ->
+             Stagecache.note_gene_run ();
+             Stagecache.insert ~frontend ~mid ~fp:fps.(i)
+               { Stagecache.sc_func = f';
+                 sc_charges = Array.of_list (List.rev !charges) })
+          cache_ns
       done;
       (* The final state may be shared (a cache entry, or the front-end
          template when the spec is empty): copy before the mutating
@@ -226,7 +199,7 @@ let llvm_binary_staged fe spec mids =
       in
       Some f
   in
-  let counted = use_cache && n > 0 in
+  let counted = cache_ns <> None && n > 0 in
   match List.filter_map compile_one mids with
   | funcs ->
     if counted then Stagecache.note_compile ~hit:!all_cached;
@@ -236,4 +209,4 @@ let llvm_binary_staged fe spec mids =
     raise e
 
 let llvm_binary ?profile dx spec mids =
-  llvm_binary_staged (anonymous_frontend ?profile dx) spec mids
+  llvm_binary_staged (frontend ?profile dx) spec mids

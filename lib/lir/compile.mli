@@ -29,12 +29,6 @@ val size_limit : int
 val work_limit : int
 (** Total instructions processed across passes before timing out. *)
 
-val with_work_limit : int -> (unit -> 'a) -> 'a
-(** Run [f] under a temporary work-limit ceiling (restored on exit, also
-    on raise).  A test hook for pinning compiles exactly at the timeout
-    boundary; call sequentially, with no compiles running on other
-    domains. *)
-
 val android_binary : Repro_dex.Bytecode.dexfile -> int list -> Binary.t
 (** Baseline: the Android pipeline per method, then translation.  Methods
     that are uncompilable are silently skipped (they stay interpreted). *)
@@ -49,29 +43,37 @@ type frontend
 val frontend :
   ?profile:(Repro_hgraph.Hir.site -> (int * int) list) ->
   ?prewarm:int list ->
-  key:string -> Repro_dex.Bytecode.dexfile -> frontend
+  ?key:string -> Repro_dex.Bytecode.dexfile -> frontend
 (** Build a front-end for a (dexfile, profile) pair.  [key] must
     content-address the pair (e.g. app name + profile digest): equal keys
     may share stage-cache entries, so unequal (dx, profile) contents must
-    get unequal keys.  [prewarm] eagerly translates the given methods
-    (typically the region) so search-time lookups are read-mostly. *)
+    get unequal keys.  Without [key] the front end never touches the
+    stage cache — no lookups, inserts or counts — which is how a run
+    turns the cache off ([--no-stage-cache]).  [prewarm] eagerly
+    translates the given methods (typically the region) so search-time
+    lookups are read-mostly. *)
 
-val frontend_digest : frontend -> string
-(** The digest namespacing this front-end's stage-cache entries. *)
+val frontend_digest : frontend -> string option
+(** The digest namespacing this front-end's stage-cache entries; [None]
+    for a keyless front end. *)
 
-val llvm_binary_staged : frontend -> spec -> int list -> Binary.t
+val llvm_binary_staged :
+  ?work_limit:int -> frontend -> spec -> int list -> Binary.t
 (** The staged LLVM-backend path: apply the pass sequence to every
     compilable method of the region, resuming each method from the
     longest stage-cached pass prefix (and publishing every newly reached
-    prefix).  Results are byte-identical to {!llvm_binary} on the same
-    inputs, with or without the stage cache, at any worker count.
+    prefix) when the front end is keyed.  Results are byte-identical to
+    {!llvm_binary} on the same inputs, with or without the stage cache,
+    at any worker count.  [work_limit] (default {!work_limit}) is the
+    pass-work ceiling; the boundary tests park it exactly on a genome's
+    total charge.
     @raise Compile_error on unknown passes or invalid parameters.
     @raise Compile_timeout when budgets are exceeded. *)
 
 val llvm_binary :
   ?profile:(Repro_hgraph.Hir.site -> (int * int) list) ->
   Repro_dex.Bytecode.dexfile -> spec -> int list -> Binary.t
-(** One-shot convenience wrapper: build a private front-end and compile.
+(** One-shot convenience wrapper: build a keyless front-end and compile.
     Front-end work is re-done per call and the shared stage cache is
     bypassed (an arbitrary [?profile] closure has no content address) —
     searches should build a {!frontend} once and use

@@ -38,13 +38,6 @@ let fetch_penalty_of (f : Hir.func) =
   max 0 ((Hir.size f - icache_budget) / icache_divisor)
   + max 0 ((pressure_of f - physical_registers) / spill_divisor)
 
-(* Lockstep observation point shared with the block-fused engine: when set,
-   fires at every block entry with (method id, block id, cycles).  Both
-   engines fire it at the same program points with the same cycle counts,
-   which is what lets the differential tests dump the first divergent block
-   instead of just "the run ended differently". *)
-let block_hook : (int -> int -> int -> unit) option ref = ref None
-
 let binop_cost (c : Cost.model) op (a : Value.t) =
   let is_float = match a with Vfloat _ -> true | Vint _ | Vbool _ | Vref _ -> false in
   match op with
@@ -261,7 +254,7 @@ let run_func (ctx : Ctx.t) (f : Hir.func) args =
     try exec_instr i with Invalid_argument msg -> raise (Segfault msg)
   in
   while !running do
-    (match !block_hook with
+    (match ctx.Ctx.on_block with
      | Some h -> h f.Hir.f_mid !bid ctx.Ctx.cycles
      | None -> ());
     let b = Hir.block f !bid in

@@ -37,12 +37,6 @@ val zero_like : Repro_vm.Value.t -> Repro_vm.Value.t
 val perturb_value : Repro_vm.Value.t -> Repro_vm.Value.t
 (** Shape-preserving corruption used by the [Exec_wrong_ret] fault point. *)
 
-val block_hook : (int -> int -> int -> unit) option ref
-(** Lockstep observation point: when set, both executors fire it at every
-    block entry with (method id, block id, cycles-so-far).  Used by the
-    differential tests to locate the first divergent block.  Not
-    domain-safe; intended for single-domain test harnesses only. *)
-
 val run_func :
   Repro_vm.Exec_ctx.t -> Repro_hgraph.Hir.func ->
   Repro_vm.Value.t list -> Repro_vm.Value.t option

@@ -32,7 +32,6 @@ type stats = {
    worst and the per-operation work it guards is tiny next to running a
    pass.  Counts live in the cache's own Trace scope. *)
 let lock = Mutex.create ()
-let enabled_flag = ref true
 
 (* Rough resident-size estimate for one cached IR state: the block table,
    per-instruction boxes and the charge array.  Only relative accuracy
@@ -57,8 +56,6 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let enabled () = locked (fun () -> !enabled_flag)
-let set_enabled b = locked (fun () -> enabled_flag := b)
 let capacity_bytes () = locked (fun () -> Bounded.budget table)
 
 let key ~frontend ~mid fp = Printf.sprintf "%s|%d|%s" frontend mid fp
@@ -80,30 +77,27 @@ let fingerprints ~frontend spec =
 
 let lookup ~frontend ~mid ~fps =
   locked (fun () ->
-      if not !enabled_flag then None
-      else begin
-        let rec probe k =
-          if k = 0 then None
-          else
-            match Bounded.find table (key ~frontend ~mid fps.(k - 1)) with
-            | Some e -> Some (k, e)
-            | None -> probe (k - 1)
-        in
-        match probe (Array.length fps) with
-        | Some (k, e) ->
-          if k > !longest then longest := k;
-          count "stagecache.prefix_hits" 1;
-          count "stagecache.genes_reused" k;
-          Some (k, e)
-        | None ->
-          count "stagecache.prefix_misses" 1;
-          None
-      end)
+      let rec probe k =
+        if k = 0 then None
+        else
+          match Bounded.find table (key ~frontend ~mid fps.(k - 1)) with
+          | Some e -> Some (k, e)
+          | None -> probe (k - 1)
+      in
+      match probe (Array.length fps) with
+      | Some (k, e) ->
+        if k > !longest then longest := k;
+        count "stagecache.prefix_hits" 1;
+        count "stagecache.genes_reused" k;
+        Some (k, e)
+      | None ->
+        count "stagecache.prefix_misses" 1;
+        None)
 
 let insert ~frontend ~mid ~fp entry =
   locked (fun () ->
       let k = key ~frontend ~mid fp in
-      if !enabled_flag && not (Bounded.mem table k) then begin
+      if not (Bounded.mem table k) then begin
         count "stagecache.inserts" 1;
         note_evictions (Bounded.add table k entry)
       end)

@@ -40,11 +40,6 @@ type entry = {
   (** per-pass [Hir.size] work charges of genes [1..k], for replay *)
 }
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** Default on.  Disabling never changes results, only compile time
-    (the [--no-stage-cache] knob). *)
-
 val capacity_bytes : unit -> int
 val set_capacity_bytes : int -> unit
 (** LRU byte budget over held IR (default 256 MiB); shrinking evicts
@@ -59,13 +54,14 @@ val lookup :
   frontend:string -> mid:int -> fps:string array -> (int * entry) option
 (** Longest cached prefix for this (front-end, method): [Some (k, entry)]
     means [entry] is the state after genes [1..k] ([fps.(k-1)]).  Bumps
-    hit/miss and reuse counters; [None] when disabled. *)
+    hit/miss and reuse counters.  Only keyed front ends call it: a
+    keyless {!Compile.frontend} is how a run goes without the cache. *)
 
 val insert : frontend:string -> mid:int -> fp:string -> entry -> unit
 (** Publish the state after a freshly-run prefix (first writer wins; the
     value is a pure function of the key, so racing duplicates are
     identical).  May evict least-recently-used entries to stay under the
-    byte budget.  No-op when disabled. *)
+    byte budget. *)
 
 val note_compile : hit:bool -> unit
 (** One whole compile of a cacheable front end with a non-empty spec:
@@ -74,11 +70,12 @@ val note_compile : hit:bool -> unit
     otherwise (including a compile that raised). *)
 
 val note_gene_run : unit -> unit
-(** One pass actually executed (the denominator of the reuse ratio). *)
+(** One pass actually executed for a keyed front end (the denominator
+    of the reuse ratio). *)
 
 val note_frontend_func : unit -> unit
 (** One front-end template (bytecode→HGraph→translate of one method)
-    actually built. *)
+    actually built by a keyed front end. *)
 
 type stats = {
   prefix_hits : int;      (** method-compiles resumed from a cached prefix *)

@@ -52,8 +52,6 @@ let point_index = function
   | Store_corrupt -> 7
   | Store_truncate -> 8
 
-let n_points = List.length all_points
-
 type config = {
   fseed : int;
   frate : float;
@@ -112,10 +110,12 @@ let parse_spec s =
 
 let state : config option Atomic.t = Atomic.make None
 
-let counts = Array.init n_points (fun _ -> Atomic.make 0)
+(* Injection totals since the last [enable]: the [faults.*] counters of
+   the registry's own Trace scope (the process counters keep counting). *)
+let metrics = Trace.scope ()
 
 let enable cfg =
-  Array.iter (fun c -> Atomic.set c 0) counts;
+  Trace.reset_scope metrics;
   Atomic.set state (Some cfg)
 
 let disable () = Atomic.set state None
@@ -123,15 +123,6 @@ let disable () = Atomic.set state None
 let active () = Atomic.get state <> None
 
 let current () = Atomic.get state
-
-let configure_from_env () =
-  match Sys.getenv_opt "REPRO_FAULTS" with
-  | None -> ()
-  | Some "" -> ()
-  | Some s ->
-    (match parse_spec s with
-     | Ok cfg -> enable cfg
-     | Error msg -> invalid_arg ("REPRO_FAULTS: " ^ msg))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic firing                                                *)
@@ -184,13 +175,15 @@ let scoped ~key f =
 (* Accounting                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let record p =
-  ignore (Atomic.fetch_and_add counts.(point_index p) 1);
-  Trace.incr "faults.injected";
-  Trace.incr ("faults." ^ point_name p)
+let point_counter p = "faults." ^ point_name p
 
-let injected () =
-  Array.fold_left (fun acc c -> acc + Atomic.get c) 0 counts
+let record p =
+  Trace.incr ~scope:metrics "faults.injected";
+  Trace.incr ~scope:metrics (point_counter p)
+
+let injected () = Trace.counter_value ~scope:metrics "faults.injected"
 
 let injected_by_point () =
-  List.map (fun p -> (p, Atomic.get counts.(point_index p))) all_points
+  List.map
+    (fun p -> (p, Trace.counter_value ~scope:metrics (point_counter p)))
+    all_points

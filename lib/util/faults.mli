@@ -66,11 +66,6 @@ val disable : unit -> unit
 val active : unit -> bool
 val current : unit -> config option
 
-val configure_from_env : unit -> unit
-(** Arm from the [REPRO_FAULTS] environment variable (same syntax as
-    {!parse_spec}) if it is set and non-empty; the test-suite knob.
-    Malformed specs raise [Invalid_argument] rather than being ignored. *)
-
 val fire : point -> key:int -> bool
 (** [fire p ~key] decides — purely from [(seed, p, key)] — whether the
     fault at point [p], site [key], fires under the current configuration.
@@ -95,12 +90,13 @@ val scope_key : unit -> int option
 (** The calling domain's current fault scope, if any. *)
 
 val record : point -> unit
-(** Count one applied injection: bumps the process-wide totals and the
-    [faults.injected] trace counter. *)
+(** Count one applied injection: bumps the [faults.injected] and
+    [faults.<point>] counters, in the process counter set and in the
+    registry's own Trace scope (which {!enable} zeroes). *)
 
 val injected : unit -> int
 (** Total faults applied since the last {!enable} (process-wide, all
-    domains). *)
+    domains): a view of the registry's scope. *)
 
 val injected_by_point : unit -> (point * int) list
 (** Per-point totals, in {!all_points} order, zero entries included. *)

@@ -20,7 +20,6 @@ let copy t = { state = t.state }
    captured and restored exactly — checkpoints record [cursor] per batch
    and resume validation compares it against the replayed stream. *)
 let cursor t = t.state
-let of_cursor state = { state }
 
 (* An independent stream determined by a (seed, index) pair: used to give
    every GA evaluation its own noise stream so measurements do not depend

@@ -27,6 +27,7 @@ type t = {
   mutable dispatch : t -> int -> Value.t list -> Value.t option;
   mutable on_entry : (int -> Value.t list -> unit) option;
   mutable on_exit : (int -> Value.t option -> unit) option;
+  mutable on_block : (int -> int -> int -> unit) option;
   mutable record_vcall : (call_site -> int -> unit) option;
   mutable sample_period : int;
   mutable next_sample : int;
@@ -52,6 +53,7 @@ let create ?(cost = Cost.default) ?(seed = 0) ?(fuel = 2_000_000_000) dx mem hea
     dispatch = no_dispatch;
     on_entry = None;
     on_exit = None;
+    on_block = None;
     record_vcall = None;
     sample_period = 0;
     next_sample = max_int;

@@ -39,6 +39,11 @@ type t = {
   mutable dispatch : t -> int -> Value.t list -> Value.t option;
   mutable on_entry : (int -> Value.t list -> unit) option;
   mutable on_exit : (int -> Value.t option -> unit) option;
+  mutable on_block : (int -> int -> int -> unit) option;
+  (** lockstep observation point of the compiled-code executors: fired at
+      every block entry with (method id, block id, cycles so far), at the
+      same program points and cycle counts by both engines — how the
+      differential tests locate the first divergent block *)
   mutable record_vcall : (call_site -> int -> unit) option;
   (** observed receiver class at a virtual call site (interpreted replay) *)
   mutable sample_period : int;       (** cycles between samples; 0 = off *)

@@ -37,13 +37,12 @@ let campaign_count =
 
 (* ------------------------- lockstep machinery ----------------------- *)
 
-(* Collect the (mid, bid, cycles) stream both engines publish through
-   Exec.block_hook.  On divergence the first differing entry names the
-   exact block where the engines parted ways. *)
+(* Run [f] with an [on_block] hook collecting the (mid, bid, cycles)
+   stream both engines publish.  On divergence the first differing entry
+   names the exact block where the engines parted ways. *)
 let with_block_stream f =
   let stream = ref [] in
-  Exec.block_hook := Some (fun mid bid cyc -> stream := (mid, bid, cyc) :: !stream);
-  Fun.protect ~finally:(fun () -> Exec.block_hook := None) f;
+  f (fun mid bid cyc -> stream := (mid, bid, cyc) :: !stream);
   List.rev !stream
 
 let show_entry (mid, bid, cyc) = Printf.sprintf "m%d:b%d@%d" mid bid cyc
@@ -97,15 +96,15 @@ let outcome_eq a b =
    outcome, post-replay cycle counter (exact also for crashes and
    timeouts), and the dirty heap/static words. *)
 let compare_replay ?fuel ?faults_key ~what dx snap binary =
-  let replay engine () =
-    Replay.run ?fuel ?faults_key dx snap
+  let replay engine on_block =
+    Replay.run ?fuel ~on_block ?faults_key dx snap
       (Replay.Compiled (Blockexec.prepare ~engine binary))
   in
   let sref = ref [] and sfused = ref [] in
   let rref = ref None and rfused = ref None in
-  sref := with_block_stream (fun () -> rref := Some (replay Blockexec.Ref ()));
+  sref := with_block_stream (fun h -> rref := Some (replay Blockexec.Ref h));
   sfused :=
-    with_block_stream (fun () -> rfused := Some (replay Blockexec.Fused ()));
+    with_block_stream (fun h -> rfused := Some (replay Blockexec.Fused h));
   let rr = Option.get !rref and rf = Option.get !rfused in
   let explain problem =
     let where =
@@ -690,16 +689,12 @@ let test_install_rejects_other_cost_model () =
 let test_sampling_fallback () =
   let app, _, _ = fixture "FFT" in
   let samples engine =
-    let prev = Blockexec.default_engine () in
-    Blockexec.set_default_engine engine;
-    Fun.protect
-      ~finally:(fun () -> Blockexec.set_default_engine prev)
-      (fun () ->
-         let online = Pipeline.online_run ~seed:7 ~sample_period:5_000 app in
-         ( online.Pipeline.cycles,
-           List.map
-             (fun s -> (s.Ctx.s_method, s.Ctx.s_native))
-             online.Pipeline.ctx.Ctx.samples ))
+    let code = Blockexec.prepare ~engine (Pipeline.android_binary_for app) in
+    let online = Pipeline.online_run ~seed:7 ~code ~sample_period:5_000 app in
+    ( online.Pipeline.cycles,
+      List.map
+        (fun s -> (s.Ctx.s_method, s.Ctx.s_native))
+        online.Pipeline.ctx.Ctx.samples )
   in
   let cr, sr = samples Blockexec.Ref in
   let cf, sf = samples Blockexec.Fused in
@@ -709,9 +704,10 @@ let test_sampling_fallback () =
 
 (* --------------------- whole-program measurement -------------------- *)
 
-(* [measure_speedups] runs unsampled on prepared code, so under the fused
-   default it executes on the compiled engine: its cycle means, and with
-   them every printed speedup, must not depend on the engine. *)
+(* [measure_speedups] runs unsampled on code prepared for the run's
+   engine, so under the fused default it executes on the compiled engine:
+   its cycle means, and with them every printed speedup, must not depend
+   on the engine. *)
 let test_speedups_engine_independent () =
   let cfg =
     { Repro_search.Ga.quick_config with
@@ -722,11 +718,8 @@ let test_speedups_engine_independent () =
        let app, co, _ = fixture name in
        let opt = Pipeline.optimize ~seed:3 ~cfg app co.Pipeline.co_primary in
        let speedups engine =
-         let prev = Blockexec.default_engine () in
-         Blockexec.set_default_engine engine;
-         Fun.protect
-           ~finally:(fun () -> Blockexec.set_default_engine prev)
-           (fun () -> Pipeline.measure_speedups ~runs:2 app opt)
+         let env = { opt.Pipeline.env with Pipeline.engine } in
+         Pipeline.measure_speedups ~runs:2 app { opt with Pipeline.env }
        in
        let r = speedups Blockexec.Ref and f = speedups Blockexec.Fused in
        Alcotest.(check bool) (name ^ ": speedups records identical") true

@@ -211,7 +211,7 @@ let test_storage_accounting () =
   let cap = Lazy.force fft_capture in
   let snap = cap.Pipeline.snapshot in
   let storage = Storage.create () in
-  Snapshot.store storage snap;
+  ignore (Snapshot.store storage snap);
   Alcotest.(check int) "logical = program + common"
     (Snapshot.program_bytes snap + Snapshot.common_bytes snap)
     (Storage.total_bytes storage);
@@ -220,7 +220,7 @@ let test_storage_accounting () =
      the frames app 1 already stored — each shared page is stored once *)
   let cap2 = capture_app (lu ()) in
   let snap2 = cap2.Pipeline.snapshot in
-  Snapshot.store storage snap2;
+  ignore (Snapshot.store storage snap2);
   Storage.flush storage;
   let hashes label =
     match Storage.manifest storage ~label with
@@ -256,21 +256,16 @@ let test_storage_accounting () =
        (List.length snap2.Snapshot.snap_common) (List.length pages)
    | Error e -> Alcotest.fail (Storage.describe e))
 
-(* with a device store attached, templates materialize from the store and
-   a corrupted stored page surfaces as a crashed (quarantinable) replay —
-   never an abort *)
-let with_attached_store snap f =
+(* once a snapshot is stored, its templates materialize from the store
+   and a corrupted stored page surfaces as a crashed (quarantinable)
+   replay — never an abort *)
+let with_stored_snapshot snap f =
   let storage = Storage.create () in
-  Snapshot.set_store (Some storage);
-  Fun.protect
-    ~finally:(fun () ->
-        Snapshot.set_store None;
-        Snapshot.invalidate_templates ())
-    (fun () ->
-       Snapshot.store storage snap;
-       Storage.flush storage;
-       Snapshot.invalidate_templates ();
-       f storage)
+  Fun.protect ~finally:Snapshot.invalidate_templates (fun () ->
+      let snap = Snapshot.store storage snap in
+      Storage.flush storage;
+      Snapshot.invalidate_templates ();
+      f storage snap)
 
 let test_store_backed_template_equivalent () =
   let cap = Lazy.force fft_capture in
@@ -282,7 +277,7 @@ let test_store_backed_template_equivalent () =
     | Replay.Finished (ret, _) -> ret
     | _ -> Alcotest.fail "plain replay failed"
   in
-  with_attached_store snap (fun storage ->
+  with_stored_snapshot snap (fun storage snap ->
       Alcotest.(check bool) "templates read from the store" true
         (Storage.contains storage ~label:(Snapshot.program_label snap));
       match (Replay.run dx snap Replay.Interpreter).Replay.outcome with
@@ -299,7 +294,7 @@ let test_store_corruption_quarantines_not_crashes () =
   let snap = cap.Pipeline.snapshot in
   let app = fft () in
   let dx = App.dexfile app in
-  with_attached_store snap (fun storage ->
+  with_stored_snapshot snap (fun storage snap ->
       let hash =
         match Storage.manifest storage ~label:(Snapshot.program_label snap) with
         | Some ((_, h) :: _) -> h
@@ -328,8 +323,8 @@ let test_store_corruption_quarantines_not_crashes () =
    capture of the app was spooled last. *)
 let test_store_corpus_search_unchanged () =
   let app = fft () in
-  let search () =
-    let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  let search ?store () =
+    let co = Option.get (Pipeline.capture_corpus ~seed:5 ?store ~k:3 app) in
     let opt =
       Pipeline.optimize ~seed:18 ~cfg:Repro_search.Ga.quick_config
         ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
@@ -337,14 +332,12 @@ let test_store_corpus_search_unchanged () =
     (co, Pipeline.search_digest opt)
   in
   let _, plain = search () in
-  Snapshot.set_store (Some (Storage.create ()));
-  let co, stored =
-    Fun.protect
-      ~finally:(fun () ->
-          Snapshot.set_store None;
-          Snapshot.invalidate_templates ())
-      search
-  in
+  let co, stored = search ~store:(Storage.create ()) () in
+  Alcotest.(check bool) "every corpus snapshot carries the store" true
+    (List.for_all
+       (fun snap -> snap.Snapshot.snap_store <> None)
+       (co.Pipeline.co_primary.Pipeline.snapshot
+        :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries));
   let ids =
     co.Pipeline.co_primary.Pipeline.snapshot.Snapshot.snap_id
     :: List.map
@@ -356,14 +349,13 @@ let test_store_corpus_search_unchanged () =
   Alcotest.(check string) "search digest with and without the store" plain
     stored
 
-let test_eager_mode_costs_more () =
+let test_eager_capture_costs_more () =
   let app = fft () in
   let normal = (capture_app app).Pipeline.overhead in
-  Capture.eager_mode := true;
   let eager =
-    (Option.get (Pipeline.capture_once ~seed:5 app)).Pipeline.overhead
+    (Option.get (Pipeline.capture_once ~seed:5 ~eager:true app))
+      .Pipeline.overhead
   in
-  Capture.eager_mode := false;
   Alcotest.(check bool) "eager fault cost >= CoW-based" true
     (eager.Capture.fault_cow_ms >= normal.Capture.fault_cow_ms)
 
@@ -450,14 +442,14 @@ let prop_dirty_diff_equals_full_scan =
        && not (Verify.diff_matches ctx snap ((0, 1L) :: full)))
 
 (* The dirty-page diff reads original words from the replay's template.
-   With a device store attached that template is materialized from
+   Once the snapshot is stored that template is materialized from
    checksum-validated store reads, not the snapshot's page lists; the
    diff must still equal the full scan against the page lists. *)
 let test_store_backed_dirty_diff () =
   let cap = Lazy.force fft_capture in
   let dx = App.dexfile (fft ()) in
   let snap = cap.Pipeline.snapshot in
-  with_attached_store snap @@ fun _ ->
+  with_stored_snapshot snap @@ fun _ snap ->
   Trace.enable ();
   Trace.reset ();
   Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
@@ -705,7 +697,7 @@ let () =
        [ Alcotest.test_case "snapshot contents" `Quick test_capture_produces_snapshot;
          Alcotest.test_case "overhead fields" `Quick test_capture_overhead_positive;
          Alcotest.test_case "charges online time" `Quick test_capture_charges_online_time;
-         Alcotest.test_case "eager ablation" `Quick test_eager_mode_costs_more ]);
+         Alcotest.test_case "eager ablation" `Quick test_eager_capture_costs_more ]);
       ("replay",
        [ Alcotest.test_case "matches original" `Quick test_replay_matches_original_region;
          Alcotest.test_case "deterministic" `Quick test_replay_deterministic;

@@ -11,6 +11,7 @@ module Domainpool = Repro_search.Domainpool
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Blockexec = Repro_lir.Blockexec
+module Stagecache = Repro_lir.Stagecache
 module Trace = Repro_util.Trace
 
 (* ----------------------- end-to-end determinism --------------------- *)
@@ -42,11 +43,6 @@ let test_search_determinism app_name seed () =
 
 (* ------------------- engine transparency of the search ---------------- *)
 
-let with_engine e f =
-  let prev = Blockexec.default_engine () in
-  Blockexec.set_default_engine e;
-  Fun.protect ~finally:(fun () -> Blockexec.set_default_engine prev) f
-
 (* The replay engine is one more user-transparent accelerator: a full FFT
    search under the block-fused executor is byte-identical to the reference
    interpretation, whatever the worker count and memo setting.  Any fusion
@@ -56,8 +52,8 @@ let test_engine_determinism () =
   let app = Option.get (App.find "FFT") in
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
   let run ~engine ~jobs ~cache =
-    with_engine engine @@ fun () ->
-    fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs ~cache app cap)
+    fingerprint
+      (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs ~cache ~engine app cap)
   in
   let reference = run ~engine:Blockexec.Ref ~jobs:1 ~cache:true in
   List.iter
@@ -86,9 +82,9 @@ let test_one_plan_per_verification () =
   in
   let before = List.map Trace.counter_value names in
   let o =
-    with_engine Blockexec.Fused @@ fun () ->
     Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:2 ~cache:true
-      ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+      ~engine:Blockexec.Fused ~corpus:co.Pipeline.co_entries app
+      co.Pipeline.co_primary
   in
   match List.map2 (fun n b -> Trace.counter_value n - b) names before with
   | [ builds; corpus_checks; passed; rejected ] ->
@@ -99,6 +95,52 @@ let test_one_plan_per_verification () =
     Alcotest.(check int) "one build per verification"
       (o.Pipeline.pool_stats.Evalpool.verifies + 2) builds
   | _ -> assert false
+
+(* The engine and the stage cache are per-run knobs: two corpus searches
+   stepped in alternation in one process, on one shared pool, one on the
+   reference engine without the stage cache and one with the defaults,
+   reach the same digest — and the keyless session never touches the
+   stage cache, not even while the other session fills it. *)
+let test_per_run_knobs_interleaved () =
+  let app = Option.get (App.find "FFT") in
+  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  Domainpool.with_pool ~workers:2 @@ fun pool ->
+  let start ?engine ?stage_cache () =
+    Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~pool ?engine ?stage_cache
+      ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+  in
+  let untouched what f =
+    let before = Stagecache.stats () in
+    let r = f () in
+    Alcotest.(check bool) (what ^ " leaves the stage cache untouched") true
+      (Stagecache.stats () = before);
+    r
+  in
+  let keyless =
+    untouched "starting the keyless session" (fun () ->
+        start ~engine:Blockexec.Ref ~stage_cache:false ())
+  in
+  let default = start () in
+  let cache_before = Stagecache.stats () in
+  let rec alternate a b =
+    match a, b with
+    | Some r1, Some r2 -> (r1, r2)
+    | _ ->
+      let step s = function
+        | Some r -> Some r
+        | None ->
+          (match Pipeline.search_step s with
+           | `Finished r -> Some r
+           | `Live | `Replayed -> None)
+      in
+      let a = untouched "a keyless step" (fun () -> step keyless a) in
+      alternate a (step default b)
+  in
+  let r_keyless, r_default = alternate None None in
+  Alcotest.(check bool) "the default session used the stage cache" true
+    (Stagecache.stats () <> cache_before);
+  Alcotest.(check string) "same digest across engine and stage cache"
+    (Pipeline.search_digest r_default) (Pipeline.search_digest r_keyless)
 
 (* ----------------------- synthetic pool fixtures --------------------- *)
 
@@ -408,6 +450,8 @@ let () =
       ("engine",
        [ Alcotest.test_case "ref = fused across jobs/cache" `Quick
            test_engine_determinism;
+         Alcotest.test_case "per-run knobs, interleaved sessions" `Quick
+           test_per_run_knobs_interleaved;
          Alcotest.test_case "one plan per verification" `Quick
            test_one_plan_per_verification ]);
       ("memoization",

@@ -328,17 +328,13 @@ let check_store_point_caught point () =
   clean (fun () ->
     let fx = Lazy.force fixture in
     let storage = Repro_os.Storage.create () in
-    Snapshot.set_store (Some storage);
-    Fun.protect
-      ~finally:(fun () ->
-          Snapshot.set_store None;
-          Snapshot.invalidate_templates ())
+    Fun.protect ~finally:Snapshot.invalidate_templates
       (fun () ->
-         Snapshot.store storage fx.snap;
+         let snap = Snapshot.store storage fx.snap in
          Repro_os.Storage.flush storage;
          Snapshot.invalidate_templates ();
          Faults.enable (cfg ~seed:3 ~rate:1.0 ~only:[ point ] ());
-         (match Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.code with
+         (match Verify.check ~faults_key:11 fx.dx snap fx.vmap fx.code with
           | Verify.Crashed msg ->
             Alcotest.(check bool) "storage-prefixed reason" true
               (String.length msg >= 8 && String.sub msg 0 8 = "storage:")
@@ -350,7 +346,7 @@ let check_store_point_caught point () =
             path, so an unscoped replay still verifies *)
          Faults.disable ();
          Snapshot.invalidate_templates ();
-         match Verify.check fx.dx fx.snap fx.vmap fx.code with
+         match Verify.check fx.dx snap fx.vmap fx.code with
          | Verify.Passed _ -> ()
          | _ -> Alcotest.fail "store left damaged by read-path injection"))
     ()
@@ -554,17 +550,14 @@ let test_corpus_optimize_deterministic () =
 let test_store_fault_digest_capture_independent () =
   clean (fun () ->
     let app = Option.get (App.find "FFT") in
-    Snapshot.set_store (Some (Repro_os.Storage.create ()));
-    Fun.protect
-      ~finally:(fun () ->
-          Snapshot.set_store None;
-          Snapshot.invalidate_templates ())
+    let store = Repro_os.Storage.create () in
+    Fun.protect ~finally:Snapshot.invalidate_templates
       (fun () ->
          Faults.enable
            (cfg ~seed:11 ~rate:0.2
               ~only:[ Faults.Store_corrupt; Faults.Store_truncate ] ());
          let run () =
-           let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+           let cap = Option.get (Pipeline.capture_once ~seed:5 ~store app) in
            let o = Pipeline.optimize ~seed:21 ~cfg:tiny_cfg ~jobs:1 app cap in
            let reasons =
              List.filter_map

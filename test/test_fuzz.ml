@@ -360,20 +360,16 @@ let prop_capture_verify_differential =
 
 module Replay = Repro_capture.Replay
 module Blockexec = Repro_lir.Blockexec
-module Exec = Repro_lir.Exec
 
 (* Replay under one engine while recording the block-entry stream both
-   engines publish through [Exec.block_hook]. *)
+   engines publish through the context's [on_block] hook. *)
 let replay_streamed engine dx snap binary =
   let stream = ref [] in
-  Exec.block_hook :=
-    Some (fun mid bid cyc -> stream := (mid, bid, cyc) :: !stream);
   let r =
-    Fun.protect
-      ~finally:(fun () -> Exec.block_hook := None)
-      (fun () ->
-         Replay.run dx snap
-           (Replay.Compiled (Blockexec.prepare ~engine binary)))
+    Replay.run
+      ~on_block:(fun mid bid cyc -> stream := (mid, bid, cyc) :: !stream)
+      dx snap
+      (Replay.Compiled (Blockexec.prepare ~engine binary))
   in
   (r, List.rev !stream)
 

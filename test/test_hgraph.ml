@@ -268,6 +268,177 @@ let test_simplify_cfg_threads_gotos () =
   let f' = T.simplify_cfg f in
   Alcotest.(check int) "collapsed to one block" 1 (Hashtbl.length f'.Hir.f_blocks)
 
+(* ------------- simplify_cfg against its quadratic original ----------- *)
+
+module Build = Repro_hgraph.Build
+module Android = Repro_hgraph.Android
+module App = Repro_apps.Registry
+module Compile = Repro_lir.Compile
+module Binary = Repro_lir.Binary
+module Pipelines = Repro_lir.Pipelines
+
+(* The original [remove_unreachable] and [simplify_cfg], verbatim: one
+   merge per iteration over a rebuilt CFG, quadratic in blocks.  The
+   linear version must reproduce them printout for printout, and with the
+   same block-table order, which later passes iterate in. *)
+let reference_remove_unreachable f =
+  let open Hir in
+  let f = copy f in
+  let g = cfg f in
+  let reachable = Cfg.nodes g in
+  let all = Hashtbl.fold (fun bid _ acc -> bid :: acc) f.f_blocks [] in
+  List.iter
+    (fun bid -> if not (List.mem bid reachable) then Hashtbl.remove f.f_blocks bid)
+    all;
+  f
+
+let reference_simplify_cfg f =
+  let open Hir in
+  let f = reference_remove_unreachable f in
+  let f = copy f in
+  (* Thread trivial goto blocks. *)
+  let redirect = Hashtbl.create 8 in
+  iter_blocks f (fun bid b ->
+      match b.insns, b.term with
+      | [], Goto t when t <> bid -> Hashtbl.replace redirect bid t
+      | _ -> ());
+  let rec resolve bid seen =
+    if List.mem bid seen then bid
+    else
+      match Hashtbl.find_opt redirect bid with
+      | Some t -> resolve t (bid :: seen)
+      | None -> bid
+  in
+  iter_blocks f (fun _ b ->
+      b.term <-
+        (match b.term with
+         | Goto t -> Goto (resolve t [])
+         | If (c, a, o, bt, be, h) -> If (c, a, o, resolve bt [], resolve be [], h)
+         | (Ret _ | ThrowT _) as t -> t));
+  (* entry may itself be a trivial goto: keep it (it now points past chains) *)
+  let f = reference_remove_unreachable f in
+  (* Merge straight-line pairs: b -> c, c has exactly one predecessor. *)
+  let f = copy f in
+  let merged = ref true in
+  while !merged do
+    merged := false;
+    let g = cfg f in
+    let candidates =
+      List.filter_map
+        (fun bid ->
+           match Hashtbl.find_opt f.f_blocks bid with
+           | Some b ->
+             (match b.term with
+              | Goto t when t <> bid && t <> f.f_entry
+                         && List.length (Cfg.preds g t) = 1 ->
+                Some (bid, t)
+              | _ -> None)
+           | None -> None)
+        (Cfg.nodes g)
+    in
+    (match candidates with
+     | (bid, t) :: _ ->
+       let b = block f bid in
+       let c = block f t in
+       b.insns <- b.insns @ c.insns;
+       b.term <- c.term;
+       Hashtbl.remove f.f_blocks t;
+       merged := true
+     | [] -> ())
+  done;
+  f
+
+(* printout plus block-table iteration order *)
+let render f =
+  Hir.to_string f
+  ^ String.concat ","
+      (Hashtbl.fold (fun bid _ acc -> string_of_int bid :: acc) f.Hir.f_blocks [])
+
+let check_same_simplify what f =
+  Alcotest.(check string) what (render (reference_simplify_cfg f))
+    (render (T.simplify_cfg f))
+
+(* [Android.pipeline] with the reference in both of its simplify_cfg
+   slots *)
+let reference_android ~get_func f =
+  f
+  |> reference_simplify_cfg
+  |> T.const_fold
+  |> T.simplify
+  |> T.copy_prop
+  |> T.dce
+  |> T.inline_calls ~get_func ~threshold:Android.inline_threshold ~max_depth:2
+  |> T.const_fold
+  |> T.simplify
+  |> T.copy_prop
+  |> T.cse_local
+  |> T.load_store_elim
+  |> T.licm
+  |> T.dce
+  |> reference_simplify_cfg
+  |> T.predict_static
+
+(* Every method of every app, through the Android pipeline and through a
+   simplifycfg run after -O3. *)
+let test_simplify_cfg_matches_reference () =
+  List.iter
+    (fun app ->
+       let dx = App.dexfile app in
+       let get_func mid =
+         match Build.func dx mid with
+         | f -> Some f
+         | exception Build.Uncompilable _ -> None
+       in
+       let mids =
+         Array.to_list (Array.map (fun m -> m.B.cm_id) dx.B.dx_methods)
+       in
+       List.iter
+         (fun mid ->
+            match get_func mid with
+            | None -> ()
+            | Some f ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s m%d: Android pipeline" app.App.name mid)
+                (render (reference_android ~get_func f))
+                (render (Android.compile_method dx mid)))
+         mids;
+       let o3 = Compile.llvm_binary dx Pipelines.o3 mids in
+       List.iter
+         (fun mid ->
+            check_same_simplify
+              (Printf.sprintf "%s m%d: simplifycfg after -O3" app.App.name mid)
+              (Option.get (Binary.find o3 mid)))
+         (Binary.mids o3))
+    App.all
+
+(* Random small graphs: goto chains, cycles of empty blocks, diamonds and
+   dead code. *)
+let prop_simplify_cfg_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 10 >>= fun n ->
+      let target = int_bound (n - 1) in
+      let term =
+        frequency
+          [ (4, map (fun t -> Hir.Goto t) target);
+            (3, map2 (fun t e -> Hir.If (B.Cgt, 1, None, t, e, Hir.Predict_none))
+                 target target);
+            (1, return (Hir.Ret None)) ]
+      in
+      list_repeat n (pair bool term))
+  in
+  QCheck.Test.make ~name:"simplify_cfg matches the reference" ~count:500
+    (QCheck.make gen)
+    (fun blocks ->
+       let f =
+         mk_func
+           (List.mapi
+              (fun bid (empty, term) ->
+                 (bid, (if empty then [] else [ Hir.Const (1, B.Cint bid) ]), term))
+              blocks)
+       in
+       render (reference_simplify_cfg f) = render (T.simplify_cfg f))
+
 let test_predict_static_marks_backedge () =
   let f =
     mk_func
@@ -298,6 +469,9 @@ let () =
          Alcotest.test_case "lse forwarding" `Quick test_lse_forwards_store;
          Alcotest.test_case "inline splices" `Quick test_inline_splices;
          Alcotest.test_case "cfg threading" `Quick test_simplify_cfg_threads_gotos;
+         Alcotest.test_case "simplify_cfg = reference on every app" `Quick
+           test_simplify_cfg_matches_reference;
+         QCheck_alcotest.to_alcotest prop_simplify_cfg_matches_reference;
          Alcotest.test_case "static prediction" `Quick test_predict_static_marks_backedge ]);
       ("cfg-properties",
        List.map QCheck_alcotest.to_alcotest

@@ -19,9 +19,9 @@ let tiny_cfg =
 let app name = Option.get (App.find name)
 
 (* What [repro optimize APP --seed S] would produce, for digest parity. *)
-let standalone name seed =
+let standalone ?store name seed =
   let a = app name in
-  let co = Option.get (Pipeline.capture_corpus ~seed ~k:1 a) in
+  let co = Option.get (Pipeline.capture_corpus ~seed ?store ~k:1 a) in
   Pipeline.search_digest
     (Pipeline.optimize ~seed:(seed + 13) ~cfg:tiny_cfg
        ~quarantine:(Pipeline.create_quarantine_log ())
@@ -34,8 +34,10 @@ let requests () =
   [ Serve.request ~seed:5 ~cfg:tiny_cfg (app "FFT");
     Serve.request ~seed:7 ~cfg:tiny_cfg (app "BubbleSort") ]
 
-let with_serve ?jobs ?queue_capacity ?abort_after ~max_active f =
-  let t = Serve.create ?jobs ?queue_capacity ?abort_after ~max_active () in
+let with_serve ?jobs ?queue_capacity ?abort_after ?store ~max_active f =
+  let t =
+    Serve.create ?jobs ?queue_capacity ?abort_after ?store ~max_active ()
+  in
   Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
 
 let digests_of t =
@@ -69,19 +71,18 @@ let test_serve_matches_standalone ~jobs () =
    capture: so an FFT tenant sharing the pool with a second tenant still
    reproduces the standalone FFT search under the same fault seed. *)
 let test_store_faults_serve_matches_standalone () =
-  Snapshot.set_store (Some (Repro_os.Storage.create ()));
+  let store = Repro_os.Storage.create () in
   Faults.enable
     { Faults.fseed = 11; frate = 0.2;
       fonly = Some [ Faults.Store_corrupt; Faults.Store_truncate ] };
   Fun.protect
     ~finally:(fun () ->
         Faults.disable ();
-        Snapshot.set_store None;
         Snapshot.invalidate_templates ())
   @@ fun () ->
-  let fft = standalone "FFT" 5 in
+  let fft = standalone ~store "FFT" 5 in
   Alcotest.(check bool) "store faults fired" true (Faults.injected () > 0);
-  with_serve ~jobs:2 ~max_active:2 @@ fun t ->
+  with_serve ~jobs:2 ~max_active:2 ~store @@ fun t ->
   List.iter (fun r -> ignore (Serve.submit t r)) (requests ());
   Serve.drive t;
   match digests_of t with

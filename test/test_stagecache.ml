@@ -23,10 +23,26 @@ let shared =
      let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
      (app, cap, Pipeline.make_eval_env app cap))
 
-let with_stage enabled f =
-  let prev = Stagecache.enabled () in
-  Stagecache.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Stagecache.set_enabled prev) f
+(* The shared environment with its front end rebuilt keyless: what
+   [make_eval_env ~stage_cache:false] builds, without redoing the
+   capture's replays.  Its compiles never touch the stage cache. *)
+let env_without_cache (env : Pipeline.evaluation_env) =
+  { env with
+    Pipeline.frontend =
+      Compile.frontend
+        ~profile:(Repro_capture.Typeprof.lookup env.Pipeline.typeprof)
+        ~prewarm:env.Pipeline.region env.Pipeline.dx }
+
+let shared_off =
+  lazy
+    (let _, _, env = Lazy.force shared in
+     env_without_cache env)
+
+let env_for ~stage =
+  if stage then
+    let _, _, env = Lazy.force shared in
+    env
+  else Lazy.force shared_off
 
 let classify fe region g =
   match Compile.llvm_binary_staged fe (Genome.to_spec g) region with
@@ -53,7 +69,7 @@ let test_canon_folds_unobservable_params () =
   let _, _, env = Lazy.force shared in
   let fe = env.Pipeline.frontend in
   let fps g =
-    Stagecache.fingerprints ~frontend:(Compile.frontend_digest fe)
+    Stagecache.fingerprints ~frontend:(Option.get (Compile.frontend_digest fe))
       (Genome.to_spec g)
   in
   Alcotest.(check (array string)) "prefix fingerprints equal" (fps g1)
@@ -89,13 +105,12 @@ let prop_outcomes_transparent =
     ~count:case_count
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-       let _, _, env = Lazy.force shared in
        let rng = Rng.create seed in
        let tasks =
          Array.init 5 (fun i -> (i, Genome.random rng))
        in
        let run ~stage ~jobs =
-         with_stage stage @@ fun () ->
+         let env = env_for ~stage in
          Stagecache.reset ();
          Domainpool.with_pool ~workers:jobs @@ fun workers ->
          let pool = Pipeline.make_pool ~pool:workers ~cache:false env in
@@ -113,8 +128,11 @@ let prop_outcomes_transparent =
    through the same counter and checks as a real run. *)
 let test_work_limit_boundary () =
   let _, _, env = Lazy.force shared in
-  let fe = env.Pipeline.frontend and region = env.Pipeline.region in
-  let compile () = Compile.llvm_binary_staged fe Pipelines.o2 region in
+  let region = env.Pipeline.region in
+  let compile ?work_limit fe () =
+    Compile.llvm_binary_staged ?work_limit fe Pipelines.o2 region
+  in
+  let fe = env.Pipeline.frontend in
   let was_enabled = Trace.enabled () in
   Trace.enable ();
   Fun.protect
@@ -122,11 +140,11 @@ let test_work_limit_boundary () =
   @@ fun () ->
   Stagecache.reset ();
   let w0 = Trace.counter_value "compile.work" in
-  let b_ref = compile () in
+  let b_ref = compile fe () in
   let w = Trace.counter_value "compile.work" - w0 in
   Alcotest.(check bool) "compile charged work" true (w > 0);
-  let check_at label limit expect_timeout =
-    match Compile.with_work_limit limit compile with
+  let check_at ?(fe = fe) label limit expect_timeout =
+    match compile ~work_limit:limit fe () with
     | b ->
       Alcotest.(check bool) (label ^ ": completed") false expect_timeout;
       Alcotest.(check string)
@@ -142,9 +160,9 @@ let test_work_limit_boundary () =
   Alcotest.(check bool) "warm replays were cache hits" true
     (s.Stagecache.binary_hits > 0 || s.Stagecache.prefix_hits > 0);
   (* cold: no cache at all, same boundary *)
-  with_stage false @@ fun () ->
-  check_at "cold at limit" w false;
-  check_at "cold one under" (w - 1) true
+  let fe = (Lazy.force shared_off).Pipeline.frontend in
+  check_at ~fe "cold at limit" w false;
+  check_at ~fe "cold one under" (w - 1) true
 
 (* ------------------------ LRU byte budget ----------------------------- *)
 
@@ -154,7 +172,7 @@ let test_lru_eviction_bounded () =
   let rng = Rng.create 7 in
   let gs = List.init 8 (fun _ -> Genome.random rng) in
   let reference =
-    with_stage false @@ fun () -> List.map (classify fe region) gs
+    List.map (classify (Lazy.force shared_off).Pipeline.frontend region) gs
   in
   let budget = 1024 * 1024 in
   let cap0 = Stagecache.capacity_bytes () in
@@ -186,9 +204,10 @@ let fingerprint (o : Pipeline.optimized) =
 let test_search_identity_across_stage_cache () =
   let app, cap, _ = Lazy.force shared in
   let run ~stage ~jobs ~cache =
-    with_stage stage @@ fun () ->
     Stagecache.reset ();
-    fingerprint (Pipeline.optimize ~seed:11 ~cfg:tiny_cfg ~jobs ~cache app cap)
+    fingerprint
+      (Pipeline.optimize ~seed:11 ~cfg:tiny_cfg ~jobs ~cache
+         ~stage_cache:stage app cap)
   in
   let reference = run ~stage:true ~jobs:1 ~cache:true in
   List.iter
